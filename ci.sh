@@ -21,8 +21,8 @@ echo "==> bench smoke (sim_engine, quick test mode)"
 cargo bench -p blueprint-bench --bench sim_engine -- --test
 
 echo "==> bench smoke (event_queue: heap vs timing wheel)"
-# Full numbers live in results/event_queue_bench.txt; this just proves both
-# queue implementations still run under the hold-model workload.
+# Full numbers live in results/event_queue_bench.txt; this just proves the
+# wheel and its BinaryHeap baseline still run under the hold-model workload.
 cargo bench -p blueprint-bench --bench event_queue -- --test
 
 echo "==> parallel-engine determinism (BLUEPRINT_THREADS=1 vs =4)"
@@ -39,58 +39,35 @@ mkdir -p results
 cargo bench -p blueprint-bench --bench par_sweep -- --test \
     | tee results/ci_par_sweep.txt
 
-echo "==> fault-matrix smoke (2 cells, BLUEPRINT_THREADS=1 vs =4)"
-# The resilience matrix must be byte-identical whatever the worker count;
-# the binary itself panics on any conservation or amplification violation.
-BLUEPRINT_THREADS=1 cargo run --release -p blueprint-bench --bin ablation_faults -- \
-    --quick --smoke
-mv results/fault_matrix.txt results/ci_fault_matrix.txt
-BLUEPRINT_THREADS=4 cargo run --release -p blueprint-bench --bin ablation_faults -- \
-    --quick --smoke
-cmp results/ci_fault_matrix.txt results/fault_matrix.txt
-mv results/fault_matrix.txt results/ci_fault_matrix.txt
+# Runs one scenario-matrix exhibit at BLUEPRINT_THREADS=1 and =4 (the
+# par_run worker count), requires the two reports to be byte-identical, and
+# keeps the report as results/<ci file>. Each binary panics on its own
+# invariant violations.
+# Usage: exhibit <bin> <report file> <ci file> [bin args...]
+exhibit() {
+    bin=$1 report=results/$2 kept=results/$3
+    shift 3
+    echo "==> $bin smoke (BLUEPRINT_THREADS=1 vs =4)"
+    BLUEPRINT_THREADS=1 cargo run --release -p blueprint-bench --bin "$bin" -- "$@"
+    mv "$report" "$kept"
+    BLUEPRINT_THREADS=4 cargo run --release -p blueprint-bench --bin "$bin" -- "$@"
+    cmp "$kept" "$report"
+    mv "$report" "$kept"
+}
 
-echo "==> overload-protection smoke (BLUEPRINT_THREADS=1 vs =4)"
-# The miniature Type-1 metastability case with and without a retry budget:
-# the binary panics on any conservation violation or a budget arm breaking
-# the 1 + ratio amplification bound, and the report must be byte-identical
-# whatever the worker count.
-BLUEPRINT_THREADS=1 cargo run --release -p blueprint-bench --bin ablation_overload -- \
-    --smoke
-mv results/overload_matrix.txt results/ci_overload.txt
-BLUEPRINT_THREADS=4 cargo run --release -p blueprint-bench --bin ablation_overload -- \
-    --smoke
-cmp results/ci_overload.txt results/overload_matrix.txt
-mv results/overload_matrix.txt results/ci_overload.txt
-
-echo "==> reconfig smoke (BLUEPRINT_THREADS=1 vs =4)"
-# Rolling deploys, the deterministic autoscaler, and canary rollouts under a
-# flash crowd: the binary panics on any conservation violation, on a drained
-# deploy showing unavailability, or on the autoscaler arm failing to absorb
-# the ramp the fixed-replica arm does not. The report must be byte-identical
-# whatever the worker count.
-BLUEPRINT_THREADS=1 cargo run --release -p blueprint-bench --bin ablation_reconfig -- \
-    --smoke
-mv results/reconfig_matrix.txt results/ci_reconfig.txt
-BLUEPRINT_THREADS=4 cargo run --release -p blueprint-bench --bin ablation_reconfig -- \
-    --smoke
-cmp results/ci_reconfig.txt results/reconfig_matrix.txt
-mv results/reconfig_matrix.txt results/ci_reconfig.txt
-
-echo "==> consistency smoke (BLUEPRINT_THREADS=1 vs =4)"
-# Consistency arms (read-replica / quorum / session) x disturbance scenarios
-# through the anomaly oracle: the binary panics on any conservation
-# violation, on quorum w=2 showing any anomaly, on session breaking
-# read-your-writes, or on the crash scenario failing to lose writes under
-# async replication. The report must be byte-identical whatever the worker
-# count.
-BLUEPRINT_THREADS=1 cargo run --release -p blueprint-bench --bin ablation_consistency -- \
-    --smoke
-mv results/consistency_matrix.txt results/ci_consistency.txt
-BLUEPRINT_THREADS=4 cargo run --release -p blueprint-bench --bin ablation_consistency -- \
-    --smoke
-cmp results/ci_consistency.txt results/consistency_matrix.txt
-mv results/consistency_matrix.txt results/ci_consistency.txt
+# Fault matrix (2 cells): conservation and amplification invariants.
+exhibit ablation_faults fault_matrix.txt ci_fault_matrix.txt --quick --smoke
+# Miniature Type-1 metastability with and without a retry budget:
+# conservation, and the 1 + ratio amplification bound on budget arms.
+exhibit ablation_overload overload_matrix.txt ci_overload.txt --smoke
+# Rolling deploys, the autoscaler, and canaries under a flash crowd:
+# conservation, no unavailability on drained deploys, and the autoscaler
+# absorbing the ramp the fixed-replica arm does not.
+exhibit ablation_reconfig reconfig_matrix.txt ci_reconfig.txt --smoke
+# Consistency arms x disturbances through the anomaly oracle: quorum w=2
+# shows no anomaly, session keeps read-your-writes, and the crash scenario
+# loses writes under async replication.
+exhibit ablation_consistency consistency_matrix.txt ci_consistency.txt --smoke
 
 echo "==> lint gate (every app's default wiring must be deny-clean)"
 # Runs the static-analysis passes over the five benchmark apps and writes
@@ -98,35 +75,12 @@ echo "==> lint gate (every app's default wiring must be deny-clean)"
 # diagnostic.
 cargo run --release -p blueprint-bench --bin lint_gate
 
-echo "==> lint cross-validation smoke (BLUEPRINT_THREADS=1 vs =4)"
 # The static hazard predictions must bracket the dynamic fault-matrix
-# outcomes (the binary panics otherwise), and the report must be
-# byte-identical whatever the worker count.
-BLUEPRINT_THREADS=1 cargo run --release -p blueprint-bench --bin lint_validation -- \
-    --smoke
-mv results/lint_validation.txt results/ci_lint_validation.txt
-BLUEPRINT_THREADS=4 cargo run --release -p blueprint-bench --bin lint_validation -- \
-    --smoke
-cmp results/ci_lint_validation.txt results/lint_validation.txt
-mv results/lint_validation.txt results/ci_lint_validation.txt
-
-echo "==> capacity cross-validation smoke (BLUEPRINT_THREADS=1 vs =4)"
-# The analytic BP013-BP015 capacity bracket must contain each app's simulated
-# saturation knee (the binary panics otherwise), and the report must be
-# byte-identical whatever the worker count.
-BLUEPRINT_THREADS=1 cargo run --release -p blueprint-bench --bin capacity_validation -- \
-    --smoke
-mv results/capacity_validation.txt results/ci_capacity.txt
-BLUEPRINT_THREADS=4 cargo run --release -p blueprint-bench --bin capacity_validation -- \
-    --smoke
-cmp results/ci_capacity.txt results/capacity_validation.txt
-mv results/capacity_validation.txt results/ci_capacity.txt
-
-echo "==> intra-run dispatch smoke (1 vs 4 shards, identity asserted in-binary)"
-# --test mode runs the single-simulation shard sweep at 1 and 4 shards only;
-# the binary itself panics if the completion streams diverge. The full
-# 1/2/4/8 sweep is recorded in results/intra_run_speedup.txt.
-cargo bench -p blueprint-bench --bench intra_run -- --test
+# outcomes.
+exhibit lint_validation lint_validation.txt ci_lint_validation.txt --smoke
+# The analytic BP013-BP015 capacity bracket must contain each app's
+# simulated saturation knee.
+exhibit capacity_validation capacity_validation.txt ci_capacity.txt --smoke
 
 echo "==> completion-stream identity check"
 # With no fault plan and no reconfig plan the completion stream must be
@@ -138,22 +92,5 @@ echo "==> completion-stream identity check"
 # moved from one global stream to derive_seed-keyed per-entity streams.)
 cargo run --release --example stream_checksum | tee results/ci_stream_checksum.txt
 grep -q "checksum=1bc85aa9969bffcf" results/ci_stream_checksum.txt
-
-echo "==> epoch-parallel identity (BLUEPRINT_THREADS=1/2/4, both queues)"
-# The conservative epoch executor and the timing-wheel implementation must
-# both be invisible in the results: the same run at 2 and 4 shards (under
-# either queue implementation) reproduces the sequential stream bit-for-bit,
-# still pinned to the historical checksum.
-BLUEPRINT_THREADS=1 cargo run --release --example stream_checksum \
-    | tee results/ci_shard.txt
-grep -q "checksum=1bc85aa9969bffcf" results/ci_shard.txt
-for threads in 2 4; do
-    for evq in heap wheel; do
-        BLUEPRINT_THREADS=$threads BLUEPRINT_EVQ=$evq \
-            cargo run --release --example stream_checksum > results/ci_shard_var.txt
-        cmp results/ci_shard.txt results/ci_shard_var.txt
-    done
-done
-rm -f results/ci_shard_var.txt
 
 echo "CI OK"

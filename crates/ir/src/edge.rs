@@ -1,14 +1,12 @@
 //! IR edges: directional caller→callee dependencies.
 
-use serde::{Deserialize, Serialize};
-
 use crate::node::NodeId;
 use crate::props::Props;
 use crate::types::MethodSig;
 use crate::visibility::Visibility;
 
 /// Opaque handle identifying an edge inside one [`crate::IrGraph`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct EdgeId(pub(crate) u32);
 
 impl EdgeId {
@@ -25,7 +23,7 @@ impl std::fmt::Display for EdgeId {
 }
 
 /// The semantic flavor of an edge.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EdgeKind {
     /// Caller invokes methods on the callee (service→service or
     /// service→backend). Carries the invoked method signatures.
@@ -37,7 +35,7 @@ pub enum EdgeKind {
 }
 
 /// A directional edge of the IR graph.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Edge {
     /// Caller / dependent node.
     pub from: NodeId,

@@ -1,6 +1,5 @@
 //! The IR graph: node/edge storage, containment hierarchy, and queries.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 use crate::edge::{Edge, EdgeId, EdgeKind};
@@ -14,7 +13,7 @@ use crate::{IrError, Result};
 /// Node and edge storage is append-only with tombstones so ids handed to
 /// plugins stay valid across passes that add or remove nodes (e.g. the
 /// replication pass duplicating components and inserting a load balancer).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct IrGraph {
     /// Application name (from the wiring spec).
     pub app_name: String,

@@ -1,14 +1,12 @@
 //! IR node definitions: ids, roles, granularities, and node data.
 
-use serde::{Deserialize, Serialize};
-
 use crate::props::Props;
 
 /// Opaque handle identifying a node inside one [`crate::IrGraph`].
 ///
 /// Node ids are dense indices; deleted nodes leave tombstones so ids stay
 /// stable across plugin passes that add or remove nodes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub(crate) u32);
 
 impl NodeId {
@@ -19,7 +17,7 @@ impl NodeId {
 
     /// Builds a node id from a raw index.
     ///
-    /// Intended for deserialization and test helpers; constructing an id that
+    /// Intended for test helpers; constructing an id that
     /// does not belong to the target graph yields `UnknownNode` errors later.
     pub fn from_index(i: usize) -> Self {
         NodeId(i as u32)
@@ -33,7 +31,7 @@ impl std::fmt::Display for NodeId {
 }
 
 /// The structural role a node plays in the IR (paper §4.2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NodeRole {
     /// An entity instantiated in the generated system: a service instance, a
     /// backend instance, or a pre-built binary/container image.
@@ -55,9 +53,7 @@ pub enum NodeRole {
 /// contain children of granularity strictly finer than `g`. The ordering also
 /// defines [`crate::Visibility`] levels: an edge that crosses a process
 /// boundary needs at least `Process` visibility, and so on.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub enum Granularity {
     /// An application-level object living inside a process (service instance,
     /// backend client, wrapper).
@@ -114,7 +110,7 @@ impl Granularity {
 /// plus a typed property bag. This keeps the IR open for extension: plugins
 /// introduce new kinds without modifying this crate (paper §4.1 "Compiler
 /// Plugins").
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Node {
     /// Unique (within the graph) human-readable instance name, e.g.
     /// `"post_storage_service"`. Namespaces and modifiers are named too.

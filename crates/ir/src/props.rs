@@ -7,10 +7,8 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 /// A single property value.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum PropValue {
     /// Boolean flag.
     Bool(bool),
@@ -64,7 +62,7 @@ impl From<String> for PropValue {
 ///
 /// Ordering (BTreeMap) keeps serialized artifacts and DOT dumps deterministic,
 /// which the generation-time benchmarks and golden tests rely on.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Props(BTreeMap<String, PropValue>);
 
 impl Props {

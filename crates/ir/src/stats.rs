@@ -2,15 +2,13 @@
 //! "the compilation time is proportional to the number of service instances
 //! in the wiring spec and the density of the service topology").
 
-use serde::{Deserialize, Serialize};
-
 use crate::edge::EdgeKind;
 use crate::graph::IrGraph;
 use crate::node::NodeRole;
 use crate::path;
 
 /// Summary statistics of an IR graph.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GraphStats {
     /// Live node count.
     pub nodes: usize,

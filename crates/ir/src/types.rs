@@ -5,10 +5,8 @@
 //! protobuf/Thrift IDL, and client stubs, so the signature model must be rich
 //! enough to render each of those artifact flavors.
 
-use serde::{Deserialize, Serialize};
-
 /// A reference to a (possibly composite) type in a workflow spec.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum TypeRef {
     /// Unit / no value.
     Unit,
@@ -78,7 +76,7 @@ impl TypeRef {
 }
 
 /// A named, typed method parameter.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Param {
     /// Parameter name.
     pub name: String,
@@ -102,7 +100,7 @@ impl Param {
 /// `Result<ret, Error>`; the context and error channel are how scaffolding
 /// (tracing metadata, RPC failures, timeouts) is threaded through without the
 /// workflow spec binding to any particular instantiation (paper §4.1).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct MethodSig {
     /// Method name, e.g. `"ComposePost"`.
     pub name: String,
@@ -115,7 +113,6 @@ pub struct MethodSig {
     /// workflow author must opt a method in before retry scaffolding on its
     /// edges is considered safe (the `retry-non-idempotent` lint keys on
     /// this).
-    #[serde(default)]
     pub idempotent: bool,
 }
 

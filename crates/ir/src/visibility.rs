@@ -13,14 +13,10 @@
 //! * intermediate levels exist for scaffolding such as Unix-socket transports
 //!   (same container) or non-published container ports (same machine).
 
-use serde::{Deserialize, Serialize};
-
 use crate::node::Granularity;
 
 /// How far an edge can reach across the namespace hierarchy.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub enum Visibility {
     /// Callee reachable only from the same process (plain method call).
     #[default]

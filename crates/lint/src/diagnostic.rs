@@ -1,14 +1,12 @@
 //! Diagnostic model: severities, subjects, and the finding record itself.
 
-use serde::{Deserialize, Serialize};
-
 /// How seriously a finding is treated.
 ///
 /// `Allow` suppresses the rule, `Warn` reports without failing gates, and
 /// `Deny` fails the CI lint gate. The compiler itself never fails a build on
 /// diagnostics — hazardous variants must still compile so the fault harness
 /// can measure them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Severity {
     /// Suppressed.
     Allow,
@@ -47,7 +45,7 @@ impl std::fmt::Display for Severity {
 
 /// One offending IR entity: a stable id (`n4` / `e7`) plus its
 /// human-readable name (edges are named `caller->callee`).
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Subject {
     /// Display id of the node (`n4`) or edge (`e7`).
     pub id: String,
@@ -66,7 +64,7 @@ impl Subject {
 }
 
 /// One finding of a lint pass.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Diagnostic {
     /// Stable rule id, e.g. `BP001`.
     pub rule: String,

@@ -8,10 +8,8 @@ use std::collections::BTreeMap;
 use std::io::Write as _;
 use std::path::Path;
 
-use serde::{Deserialize, Serialize};
-
 /// Artifact flavors (drives LoC accounting buckets and syntax headers).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum ArtifactKind {
     /// Generated Rust source (wrappers, process mains, service skeletons).
     RustSource,
@@ -36,7 +34,7 @@ pub enum ArtifactKind {
 }
 
 /// One generated file.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Artifact {
     /// File content.
     pub content: String,
@@ -55,7 +53,7 @@ impl Artifact {
 }
 
 /// The full tree of generated artifacts, keyed by relative path.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ArtifactTree {
     files: BTreeMap<String, Artifact>,
 }

@@ -1,34 +1,15 @@
-//! Event-queue implementations for the discrete-event core.
+//! The simulator's event queue.
 //!
 //! [`crate::sim::Sim`] dispatches events in `(time, seq)` order — `time` is
-//! virtual nanoseconds, `seq` the global push sequence number. Two
-//! interchangeable priority queues provide that order:
-//!
-//! * [`EvQueueKind::Heap`] — `BinaryHeap<Reverse<Entry>>`: the classic
-//!   O(log n) binary heap.
-//! * [`EvQueueKind::Wheel`] — a hierarchical timing wheel (Varghese & Lauck):
-//!   far events land in time-bucketed slots in O(1), cascading toward a small
-//!   near-term heap (`due`) that provides the final total order.
-//!
-//! Both produce **byte-identical pop order by construction**: ties are
-//! resolved by `seq`, never by insertion order or internal layout, so the
-//! simulator's determinism pin does not depend on which implementation is
-//! selected. `benches/event_queue.rs` compares them at 10k/100k/1M
-//! concurrent timers; the measured winner is the [`EvQueueKind::default`]
-//! (see `results/event_queue_bench.txt`), and `BLUEPRINT_EVQ=heap|wheel`
-//! overrides the choice per run.
-//!
-//! [`EventShards`] composes one queue per shard for the sharded event loop,
-//! plus a separate **control queue** for cluster-wide events (fault firings,
-//! chaos draws, process restarts) that need exclusive access to the whole
-//! world. Pushes route to the target entity's home shard; pops take the
-//! k-way minimum across shard heads and the control head — the same
-//! index-ordered merge discipline as `blueprint_workload::parallel::par_run`,
-//! applied inside a single run. During epoch-parallel execution the shard
-//! queues are split out with [`EventShards::shards_mut`] and each worker
-//! drains only its own; cross-shard sends buffer in per-epoch outboxes that
-//! the coordinator flushes at the epoch barrier (safe because conservative
-//! lookahead guarantees they land strictly after the epoch bound).
+//! virtual nanoseconds, `seq` a unique key that breaks ties (see the key
+//! packing in `sim.rs`). [`Wheel`] provides that order with a hierarchical
+//! timing wheel (Varghese & Lauck): far events land in time-bucketed slots
+//! in O(1), cascading toward a small near-term heap (`due`) that provides
+//! the final total order. Ties resolve by `seq`, never by insertion order or
+//! bucket layout, so the pop order equals a `BinaryHeap<Reverse<Entry>>`'s
+//! exactly — the unit tests below keep the heap as the oracle.
+//! `benches/event_queue.rs` compares the two at 10k/100k/1M concurrent
+//! timers (see `results/event_queue_bench.txt`).
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -72,34 +53,6 @@ impl<T> Ord for Entry<T> {
     }
 }
 
-/// Selects the event-queue implementation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EvQueueKind {
-    /// `BinaryHeap<Reverse<Entry>>`. Kept selectable as the obviously-correct
-    /// baseline; it edges out the wheel only at small populations (~10k
-    /// timers) where its `O(log n)` comparisons are still cheap.
-    Heap,
-    /// Hierarchical timing wheel: `O(1)` insert, amortized-cheap cascade.
-    /// The microbench winner from 100k timers up (2.1× at 100k, 7.4× at 1M;
-    /// see `results/event_queue_bench.txt`) and ~8% faster end-to-end on the
-    /// pinned HotelReservation run, so it is the default — the scaling
-    /// target is million-user single runs, exactly where the heap collapses.
-    #[default]
-    Wheel,
-}
-
-impl EvQueueKind {
-    /// The `BLUEPRINT_EVQ` override (`heap` / `wheel`), falling back to the
-    /// benchmarked default. Unrecognized values fall back too.
-    pub fn from_env() -> Self {
-        match std::env::var("BLUEPRINT_EVQ").as_deref() {
-            Ok("heap") => EvQueueKind::Heap,
-            Ok("wheel") => EvQueueKind::Wheel,
-            _ => EvQueueKind::default(),
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Hierarchical timing wheel.
 // ---------------------------------------------------------------------------
@@ -139,8 +92,15 @@ pub struct Wheel<T> {
     len: usize,
 }
 
+impl<T> Default for Wheel<T> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl<T> Wheel<T> {
-    fn new() -> Self {
+    /// An empty wheel with the cursor at time 0.
+    pub fn new() -> Self {
         Wheel {
             due: BinaryHeap::new(),
             slots: (0..LEVELS * SLOTS).map(|_| Vec::new()).collect(),
@@ -151,7 +111,8 @@ impl<T> Wheel<T> {
         }
     }
 
-    fn push(&mut self, e: Entry<T>) {
+    /// Inserts an event.
+    pub fn push(&mut self, e: Entry<T>) {
         self.len += 1;
         if tick_of(e.time) < self.cur_tick {
             self.due.push(Reverse(e));
@@ -262,184 +223,29 @@ impl<T> Wheel<T> {
         }
     }
 
-    fn peek_key(&mut self) -> Option<EvKey> {
+    /// The minimum `(time, seq)` key, if any. Takes `&mut self` because the
+    /// wheel may cascade buckets to find its minimum.
+    pub fn peek_key(&mut self) -> Option<EvKey> {
         self.ensure_due();
         self.due.peek().map(|Reverse(e)| e.key())
     }
 
-    fn pop(&mut self) -> Option<Entry<T>> {
+    /// Removes and returns the minimum event.
+    pub fn pop(&mut self) -> Option<Entry<T>> {
         self.ensure_due();
         let Reverse(e) = self.due.pop()?;
         self.len -= 1;
         Some(e)
     }
-}
-
-// ---------------------------------------------------------------------------
-// The unified queue.
-// ---------------------------------------------------------------------------
-
-/// A `(time, seq)`-ordered event queue with a selectable implementation.
-#[derive(Debug)]
-pub enum EvQueue<T> {
-    /// Binary-heap implementation.
-    Heap(BinaryHeap<Reverse<Entry<T>>>),
-    /// Hierarchical-timing-wheel implementation.
-    Wheel(Wheel<T>),
-}
-
-impl<T> EvQueue<T> {
-    /// An empty queue of the given kind.
-    pub fn new(kind: EvQueueKind) -> Self {
-        match kind {
-            EvQueueKind::Heap => EvQueue::Heap(BinaryHeap::new()),
-            EvQueueKind::Wheel => EvQueue::Wheel(Wheel::new()),
-        }
-    }
-
-    /// Inserts an event.
-    pub fn push(&mut self, e: Entry<T>) {
-        match self {
-            EvQueue::Heap(h) => h.push(Reverse(e)),
-            EvQueue::Wheel(w) => w.push(e),
-        }
-    }
-
-    /// The minimum `(time, seq)` key, if any. Takes `&mut self` because the
-    /// wheel may cascade buckets to find its minimum.
-    pub fn peek_key(&mut self) -> Option<EvKey> {
-        match self {
-            EvQueue::Heap(h) => h.peek().map(|Reverse(e)| e.key()),
-            EvQueue::Wheel(w) => w.peek_key(),
-        }
-    }
-
-    /// Removes and returns the minimum event.
-    pub fn pop(&mut self) -> Option<Entry<T>> {
-        match self {
-            EvQueue::Heap(h) => h.pop().map(|Reverse(e)| e),
-            EvQueue::Wheel(w) => w.pop(),
-        }
-    }
 
     /// Number of queued events.
     pub fn len(&self) -> usize {
-        match self {
-            EvQueue::Heap(h) => h.len(),
-            EvQueue::Wheel(w) => w.len,
-        }
+        self.len
     }
 
     /// Whether the queue is empty.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Sharded composition.
-// ---------------------------------------------------------------------------
-
-/// Per-shard event queues plus a control queue, with a deterministic
-/// `(time, seq)` merge.
-///
-/// The caller routes each entity-local push to a shard (the simulator shards
-/// by the target entity's home host group); cluster-wide control events
-/// (fault firings, chaos draws, process restarts) go to the dedicated
-/// control queue so the epoch executor can treat them as barriers. Pops take
-/// the k-way minimum key across shard heads and the control head, so the pop
-/// order is byte-identical at every shard count by construction.
-#[derive(Debug)]
-pub(crate) struct EventShards<T> {
-    shards: Vec<EvQueue<T>>,
-    ctrl: EvQueue<T>,
-}
-
-impl<T> EventShards<T> {
-    /// `n_shards` shard queues of the given kind (clamped up to 1), plus the
-    /// control queue.
-    pub fn new(kind: EvQueueKind, n_shards: usize) -> Self {
-        EventShards {
-            shards: (0..n_shards.max(1)).map(|_| EvQueue::new(kind)).collect(),
-            ctrl: EvQueue::new(kind),
-        }
-    }
-
-    /// Total queued events, control queue included.
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(EvQueue::len).sum::<usize>() + self.ctrl.len()
-    }
-
-    /// Events queued on shard queues (control queue excluded).
-    pub fn queued_len(&self) -> usize {
-        self.shards.iter().map(EvQueue::len).sum()
-    }
-
-    /// Whether no events are queued anywhere.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Queues an entity-local event on `shard`.
-    pub fn push_shard(&mut self, shard: usize, e: Entry<T>) {
-        self.shards[shard].push(e);
-    }
-
-    /// Queues a cluster-wide control event.
-    pub fn push_ctrl(&mut self, e: Entry<T>) {
-        self.ctrl.push(e);
-    }
-
-    /// The shard holding the minimum shard-queued key.
-    pub fn queue_min(&mut self) -> Option<(usize, EvKey)> {
-        let mut best: Option<(usize, EvKey)> = None;
-        for (i, q) in self.shards.iter_mut().enumerate() {
-            if let Some(k) = q.peek_key() {
-                if best.map(|(_, bk)| k < bk).unwrap_or(true) {
-                    best = Some((i, k));
-                }
-            }
-        }
-        best
-    }
-
-    /// The minimum key on the control queue.
-    pub fn ctrl_peek_key(&mut self) -> Option<EvKey> {
-        self.ctrl.peek_key()
-    }
-
-    /// Removes and returns the minimal control event.
-    pub fn pop_ctrl(&mut self) -> Option<Entry<T>> {
-        self.ctrl.pop()
-    }
-
-    /// The global minimum `(time, seq)` key across shards and control.
-    #[cfg(test)]
-    pub fn peek_key(&mut self) -> Option<EvKey> {
-        let q = self.queue_min().map(|(_, k)| k);
-        match (q, self.ctrl.peek_key()) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
-    }
-
-    /// Removes and returns the globally minimal event (shards or control).
-    #[cfg(test)]
-    pub fn pop(&mut self) -> Option<Entry<T>> {
-        let q = self.queue_min();
-        let c = self.ctrl.peek_key();
-        match (q, c) {
-            (Some((i, qk)), Some(ck)) if qk < ck => self.shards[i].pop(),
-            (Some(_), Some(_)) | (None, Some(_)) => self.ctrl.pop(),
-            (Some((i, _)), None) => self.shards[i].pop(),
-            (None, None) => None,
-        }
-    }
-
-    /// Mutable access to the shard queues, for the epoch executor to split
-    /// across workers.
-    pub fn shards_mut(&mut self) -> &mut [EvQueue<T>] {
-        &mut self.shards
+        self.len == 0
     }
 }
 
@@ -449,6 +255,9 @@ mod tests {
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
+    /// The reference queue the wheel must agree with.
+    type Heap = BinaryHeap<Reverse<Entry<u64>>>;
+
     fn e(time: SimTime, seq: u64) -> Entry<u64> {
         Entry {
             time,
@@ -457,35 +266,36 @@ mod tests {
         }
     }
 
-    /// Drains a queue fully, returning the pop order as keys.
-    fn drain<T>(q: &mut EvQueue<T>) -> Vec<EvKey> {
-        let mut out = Vec::new();
-        while let Some(x) = q.pop() {
-            out.push((x.time, x.seq));
-        }
-        out
+    /// Drains a wheel fully, returning the pop order as keys.
+    fn drain(q: &mut Wheel<u64>) -> Vec<EvKey> {
+        std::iter::from_fn(|| q.pop()).map(|x| x.key()).collect()
+    }
+
+    fn drain_heap(q: &mut Heap) -> Vec<EvKey> {
+        std::iter::from_fn(|| q.pop())
+            .map(|Reverse(x)| x.key())
+            .collect()
     }
 
     #[test]
     fn ties_resolve_by_seq_in_both_impls() {
-        for kind in [EvQueueKind::Heap, EvQueueKind::Wheel] {
-            let mut q = EvQueue::new(kind);
-            // Same timestamp, shuffled insertion order.
-            for seq in [5u64, 1, 9, 0, 3] {
-                q.push(e(1_000, seq));
-            }
-            assert_eq!(
-                drain(&mut q),
-                vec![(1_000, 0), (1_000, 1), (1_000, 3), (1_000, 5), (1_000, 9)]
-            );
+        let mut wheel = Wheel::new();
+        let mut heap = Heap::new();
+        // Same timestamp, shuffled insertion order.
+        for seq in [5u64, 1, 9, 0, 3] {
+            wheel.push(e(1_000, seq));
+            heap.push(Reverse(e(1_000, seq)));
         }
+        let want = vec![(1_000, 0), (1_000, 1), (1_000, 3), (1_000, 5), (1_000, 9)];
+        assert_eq!(drain_heap(&mut heap), want);
+        assert_eq!(drain(&mut wheel), want);
     }
 
     #[test]
     fn wheel_matches_heap_on_random_interleaving() {
         let mut rng = SmallRng::seed_from_u64(99);
-        let mut heap = EvQueue::new(EvQueueKind::Heap);
-        let mut wheel = EvQueue::new(EvQueueKind::Wheel);
+        let mut heap = Heap::new();
+        let mut wheel = Wheel::new();
         let mut seq = 0u64;
         let mut now: SimTime = 0;
         let mut heap_out = Vec::new();
@@ -500,28 +310,29 @@ mod tests {
                     _ => 0,
                 };
                 let t = now + dt;
-                heap.push(e(t, seq));
+                heap.push(Reverse(e(t, seq)));
                 wheel.push(e(t, seq));
                 seq += 1;
             } else {
-                let a = heap.pop().expect("heap non-empty");
+                let Reverse(a) = heap.pop().expect("heap non-empty");
+                assert_eq!(wheel.peek_key(), Some(a.key()), "peek agrees with pop");
                 let b = wheel.pop().expect("wheel matches heap occupancy");
                 now = a.time; // Pops advance the clock, like the simulator.
-                heap_out.push((a.time, a.seq));
-                wheel_out.push((b.time, b.seq));
+                heap_out.push(a.key());
+                wheel_out.push(b.key());
             }
+            assert_eq!(wheel.len(), heap.len());
         }
-        heap_out.extend(drain(&mut heap));
+        heap_out.extend(drain_heap(&mut heap));
         wheel_out.extend(drain(&mut wheel));
         assert_eq!(heap_out, wheel_out);
-        // Sanity: the order is actually sorted by (time, seq) per prefix
-        // monotonicity of pops between pushes is already covered above.
         assert!(!heap_out.is_empty());
+        assert!(wheel.is_empty());
     }
 
     #[test]
     fn wheel_handles_overflow_horizon() {
-        let mut q = EvQueue::new(EvQueueKind::Wheel);
+        let mut q = Wheel::new();
         // Far beyond the 68.7 s horizon, plus a near event.
         q.push(e(500_000_000_000, 1));
         q.push(e(10, 2));
@@ -539,7 +350,7 @@ mod tests {
     #[test]
     fn wheel_cascades_when_drain_ends_on_rotation_boundary() {
         let tick = 1u64 << TICK_SHIFT;
-        let mut q = EvQueue::new(EvQueueKind::Wheel);
+        let mut q = Wheel::new();
         q.push(e(63 * tick, 0)); // level 0, last slot of rotation 0
         q.push(e(70 * tick, 1)); // level 1, slot 1 (ticks 64..127)
         q.push(e(130 * tick, 2)); // level 1, slot 2 (ticks 128..191)
@@ -550,61 +361,5 @@ mod tests {
             drain(&mut q),
             vec![(63 * tick, 0), (70 * tick, 1), (130 * tick, 2)]
         );
-    }
-
-    #[test]
-    fn shard_counts_agree_on_pop_order() {
-        // The same push stream must pop identically at 1, 3, and 4 shards,
-        // for both queue kinds, with a slice of pushes routed to the control
-        // queue to exercise the three-way merge.
-        for kind in [EvQueueKind::Heap, EvQueueKind::Wheel] {
-            let mut streams: Vec<Vec<EvKey>> = Vec::new();
-            for shards in [1usize, 3, 4] {
-                let mut q: EventShards<u64> = EventShards::new(kind, shards);
-                let mut rng = SmallRng::seed_from_u64(7);
-                let mut now: SimTime = 0;
-                let mut out = Vec::new();
-                for seq in 0..5_000u64 {
-                    let t = now + rng.gen_range(0..100_000);
-                    if seq % 17 == 0 {
-                        q.push_ctrl(e(t, seq));
-                    } else {
-                        q.push_shard((seq as usize) % shards, e(t, seq));
-                    }
-                    if rng.gen::<f64>() < 0.4 {
-                        if let Some(x) = q.pop() {
-                            now = x.time;
-                            out.push((x.time, x.seq));
-                        }
-                    }
-                }
-                while let Some(x) = q.pop() {
-                    out.push((x.time, x.seq));
-                }
-                assert_eq!(out.len(), 5_000);
-                streams.push(out);
-            }
-            assert_eq!(streams[0], streams[1]);
-            assert_eq!(streams[0], streams[2]);
-        }
-    }
-
-    #[test]
-    fn global_peek_matches_pop() {
-        // `peek_key` must always report exactly the key `pop` returns next,
-        // across both planes (shard queues and the control queue).
-        let mut q: EventShards<u64> = EventShards::new(EvQueueKind::Heap, 2);
-        q.push_shard(0, e(30, 3));
-        q.push_shard(1, e(10, 1));
-        q.push_ctrl(e(10, 0));
-        q.push_ctrl(e(20, 2));
-        let mut popped = Vec::new();
-        while let Some(k) = q.peek_key() {
-            let x = q.pop().expect("peeked");
-            assert_eq!((x.time, x.seq), k);
-            popped.push(k);
-        }
-        assert_eq!(popped, vec![(10, 0), (10, 1), (20, 2), (30, 3)]);
-        assert!(q.pop().is_none());
     }
 }

@@ -16,9 +16,10 @@
 //! count towards `n`. A **hog** (CPU contention injected by the anomaly
 //! driver, standing in for FIRM's anomaly injector) reduces effective cores.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use crate::time::SimTime;
+use crate::HashMap;
 
 /// Unique job identifier (scoped to the whole simulation).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -72,9 +73,9 @@ impl PsHost {
             v: 0.0,
             last_update: 0,
             queue: BTreeMap::new(),
-            deadlines: HashMap::new(),
-            frozen: HashMap::new(),
-            job_proc: HashMap::new(),
+            deadlines: HashMap::default(),
+            frozen: HashMap::default(),
+            job_proc: HashMap::default(),
             completed_work_ns: 0.0,
         }
     }

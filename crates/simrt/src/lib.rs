@@ -34,12 +34,13 @@
 //!   process. In-flight work affected by a fault fails fast with a
 //!   classified error, preserving request conservation.
 //!
-//! Determinism: one seeded RNG and a total event order by `(time, sequence)`,
-//! with no wall-clock anywhere. The event queue is sharded by host
-//! ([`evq::EventShards`], `BLUEPRINT_THREADS`); the pop-side merge preserves
-//! the exact same total order at any shard count, so the same spec + seed +
-//! driver script produces bit-identical results (tested) — and [`sim::Sim`]
-//! is `Send`, so whole runs can also be farmed out across threads.
+//! Determinism: every stochastic draw comes from a per-entity RNG stream
+//! derived from the run's seed ([`sim::derive_seed`]), events dispatch from
+//! one timing wheel ([`evq::Wheel`]) in a total `(time, seq)` order, and
+//! there is no wall clock anywhere, so the same spec + seed + driver script
+//! produces bit-identical results (tested). A run is a single sequential
+//! event loop; [`sim::Sim`] is `Send`, so parallelism comes from farming
+//! whole runs out across threads (`blueprint_workload::parallel`).
 
 pub mod evq;
 pub mod host;
@@ -48,7 +49,6 @@ pub mod sim;
 pub mod spec;
 pub mod time;
 
-pub use evq::EvQueueKind;
 pub use sim::{Completion, EntryHandle, Sim, SimConfig};
 pub use spec::{
     AutoscalerSpec, BackendRtKind, BackendSpec, BreakerSpec, Change, ChaosSpec, ClientSpec,
@@ -77,6 +77,15 @@ impl std::fmt::Display for SimError {
 }
 
 impl std::error::Error for SimError {}
+
+/// `HashMap` with fixed-key SipHash: std's default hash function, but with
+/// zero keys instead of per-process random ones, so table growth — and with
+/// it the allocation count of a run — repeats exactly across processes.
+pub(crate) type HashMap<K, V> = std::collections::HashMap<
+    K,
+    V,
+    std::hash::BuildHasherDefault<std::collections::hash_map::DefaultHasher>,
+>;
 
 /// Result alias for simulation operations.
 pub type Result<T> = std::result::Result<T, SimError>;

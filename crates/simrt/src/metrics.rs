@@ -2,10 +2,8 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 /// Global counters accumulated during a simulation run.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SimCounters {
     /// Requests submitted at entry points.
     pub submitted: u64,
@@ -42,84 +40,35 @@ pub struct SimCounters {
     /// Requests rejected by an unavailable (browned-out) backend.
     pub brownout_rejections: u64,
     /// Calls failed fast because their propagated deadline was exhausted.
-    #[serde(default)]
     pub deadline_exceeded: u64,
     /// Arrivals rejected by an adaptive admission controller.
-    #[serde(default)]
     pub shed_rejections: u64,
     /// Retries denied by an exhausted retry budget.
-    #[serde(default)]
     pub budget_denied: u64,
     /// First attempts issued by RPC clients (the denominator for hop-level
     /// wire amplification: `(client_calls + retries) / client_calls`).
-    #[serde(default)]
     pub client_calls: u64,
     /// Arrivals rejected because the target replica was draining or out of
     /// rotation (stable error class `"drain"`).
-    #[serde(default)]
     pub drain_rejections: u64,
     /// Runtime changes started (rolling deploys, scale actions, canaries).
-    #[serde(default)]
     pub reconfig_changes: u64,
     /// Autoscaler scale-out actions.
-    #[serde(default)]
     pub autoscale_ups: u64,
     /// Autoscaler scale-in actions.
-    #[serde(default)]
     pub autoscale_downs: u64,
     /// Canary rollouts promoted group-wide.
-    #[serde(default)]
     pub canary_promotions: u64,
     /// Canary rollouts rolled back to the saved wiring.
-    #[serde(default)]
     pub canary_rollbacks: u64,
     /// Store primary failovers executed (elections that promoted a replica).
-    #[serde(default)]
     pub store_failovers: u64,
     /// Quorum reads/writes rejected for lack of reachable members.
-    #[serde(default)]
     pub quorum_rejections: u64,
 }
 
-impl SimCounters {
-    /// Field-wise accumulation. Every counter is an additive `u64`, so sums
-    /// are invariant under any partition of the work — the epoch executor
-    /// gives each worker its own scratch `SimCounters` and merges them here.
-    pub fn merge_from(&mut self, other: &SimCounters) {
-        self.submitted += other.submitted;
-        self.completed_ok += other.completed_ok;
-        self.completed_err += other.completed_err;
-        self.timeouts += other.timeouts;
-        self.retries += other.retries;
-        self.breaker_rejections += other.breaker_rejections;
-        self.breaker_opens += other.breaker_opens;
-        self.admission_rejections += other.admission_rejections;
-        self.gc_pauses += other.gc_pauses;
-        self.gc_pause_ns += other.gc_pause_ns;
-        self.spans += other.spans;
-        self.queue_drops += other.queue_drops;
-        self.faults_injected += other.faults_injected;
-        self.process_crashes += other.process_crashes;
-        self.crashed_frames += other.crashed_frames;
-        self.link_unreachable += other.link_unreachable;
-        self.brownout_rejections += other.brownout_rejections;
-        self.deadline_exceeded += other.deadline_exceeded;
-        self.shed_rejections += other.shed_rejections;
-        self.budget_denied += other.budget_denied;
-        self.client_calls += other.client_calls;
-        self.drain_rejections += other.drain_rejections;
-        self.reconfig_changes += other.reconfig_changes;
-        self.autoscale_ups += other.autoscale_ups;
-        self.autoscale_downs += other.autoscale_downs;
-        self.canary_promotions += other.canary_promotions;
-        self.canary_rollbacks += other.canary_rollbacks;
-        self.store_failovers += other.store_failovers;
-        self.quorum_rejections += other.quorum_rejections;
-    }
-}
-
 /// Per-backend statistics.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct BackendStats {
     /// Cache hits.
     pub hits: u64,
@@ -134,13 +83,10 @@ pub struct BackendStats {
     /// Evictions due to capacity.
     pub evictions: u64,
     /// Acked writes discarded at a primary failover (never replicated).
-    #[serde(default)]
     pub lost_writes: u64,
     /// Session-mode reads redirected to the primary by the session floor.
-    #[serde(default)]
     pub session_redirects: u64,
     /// Failovers that changed this store's serving member.
-    #[serde(default)]
     pub failovers: u64,
 }
 
@@ -157,7 +103,7 @@ impl BackendStats {
 }
 
 /// All metrics of a run.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Metrics {
     /// Global counters.
     pub counters: SimCounters,

@@ -2,11 +2,11 @@
 //! transports, backends, and GC.
 //!
 //! See the crate docs for the modeling overview. The implementation is a
-//! discrete-event simulator: event queues ordered by `(time, sequence)`
-//! dispatch into the [`Sim`] world state. Requests execute as **frames** —
-//! explicit interpreter states over the behavior programs of the workflow
-//! spec — so the simulator never recurses through the service call graph on
-//! the machine stack.
+//! discrete-event simulator: one timing wheel ([`evq::Wheel`]) ordered by
+//! `(time, sequence)` dispatches into the [`Sim`] world state. Requests
+//! execute as **frames** — explicit interpreter states over the behavior
+//! programs of the workflow spec — so the simulator never recurses through
+//! the service call graph on the machine stack.
 //!
 //! At boot the workflow `Behavior` programs are compiled into [`CProg`]s:
 //! every dependency name is resolved to a dense `u32` client id, every target
@@ -16,17 +16,15 @@
 //! hot path therefore never hashes a string, never clones behavior text, and
 //! reuses frame slots and interpreter stacks through free lists. Because all
 //! interning is arena-index based (no `Rc`), a booted [`Sim`] is `Send` —
-//! asserted at compile time below.
+//! asserted at compile time below — so whole runs can move across threads.
 //!
-//! Mutable runtime state is partitioned into per-host [`HostLane`]s over an
-//! immutable [`Shared`] core, and every stochastic draw comes from a
-//! deterministic per-entity RNG stream (see [`derive_seed`]). Together these
-//! make the event loop *parallel within a run*: shards of hosts dispatch
-//! concurrently inside conservative epochs bounded by the minimum cross-shard
-//! network latency, and the output is byte-identical at any shard count (see
-//! [`crate::evq`] and `DESIGN.md` §6).
+//! Mutable runtime state is stored in per-host [`HostLane`]s next to the
+//! cluster-wide [`Shared`] tables, and every stochastic draw comes from a
+//! deterministic per-entity RNG stream (see [`derive_seed`]). Lane events
+//! and control-plane events share the one wheel, so a run is a single
+//! sequential loop in global `(time, seq)` order (see `DESIGN.md` §6).
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -34,15 +32,15 @@ use rand::{Rng, SeedableRng};
 use blueprint_trace::{SpanId, TraceCollector, TraceId};
 use blueprint_workflow::{Behavior, CacheOp, DbOp, KeyExpr, Step};
 
-use crate::evq::{self, EvKey, EvQueue, EvQueueKind, EventShards};
+use crate::evq::{self, Wheel};
 use crate::host::{JobId, PsHost, NO_PROC};
-use crate::metrics::{BackendStats, Metrics, SimCounters};
+use crate::metrics::{BackendStats, Metrics};
 use crate::spec::{
     AutoscalerSpec, BackendRtKind, Change, ClientSpec, ConsistencyMode, DepBinding, Fault,
     FaultPlan, LbPolicy, ReconfigPlan, ShedSpec, SystemSpec, TransportSpec,
 };
 use crate::time::SimTime;
-use crate::{Result, SimError};
+use crate::{HashMap, Result, SimError};
 
 // ---------------------------------------------------------------------------
 // Public configuration and results.
@@ -53,8 +51,9 @@ use crate::{Result, SimError};
 pub struct SimConfig {
     /// RNG seed; everything non-deterministic derives from it.
     pub seed: u64,
-    /// Record spans for services that have tracing enabled. Tracing forces
-    /// sequential dispatch (one shared collector); results are unaffected.
+    /// Record spans for services that have tracing enabled into
+    /// [`Sim::traces`] (each recorded span also runs the service's per-span
+    /// CPU overhead).
     pub record_traces: bool,
     /// Hard cap on live frames; submissions beyond it fast-fail (memory
     /// guard under extreme overload).
@@ -63,26 +62,6 @@ pub struct SimConfig {
     /// zero events and RNG draws, so fault-free runs are byte-identical to
     /// a build without the engine.
     pub faults: FaultPlan,
-    /// Event-loop shard count. `None` (the default) resolves from the
-    /// `BLUEPRINT_THREADS` environment variable, falling back to `1` (the
-    /// classic single-queue loop). Explicit values must be in `1..=64`;
-    /// `Sim::new` rejects `Some(0)` and `Some(>64)` as spec errors. The
-    /// effective count is additionally capped by the number of independent
-    /// host groups in the spec. Shard count never affects results — epochs
-    /// close with the `(time, seq)` merge — only how many cores dispatch
-    /// concurrently.
-    pub shards: Option<usize>,
-    /// Event-queue implementation. `None` (the default) resolves from the
-    /// `BLUEPRINT_EVQ` environment variable via [`EvQueueKind::from_env`].
-    /// Like `shards`, the choice never affects results.
-    pub queue: Option<EvQueueKind>,
-    /// Minimum number of queued events before an epoch is dispatched on
-    /// worker threads; below it the epoch runs inline on the calling thread
-    /// (thread-spawn latency would dominate). `None` picks the default
-    /// (4096). The threshold never affects results — only where dispatch
-    /// happens — and exists as a config field (not an env var) so tests can
-    /// force the threaded path without racy env mutation.
-    pub par_epoch_min: Option<usize>,
     /// Live runtime changes to apply during the run (rolling deploys,
     /// scale-out/in, canary rollouts, autoscalers). Like `faults`, an empty
     /// plan (the default) adds zero events and RNG draws, so no-reconfig
@@ -97,9 +76,6 @@ impl Default for SimConfig {
             record_traces: false,
             max_frames: 2_000_000,
             faults: FaultPlan::default(),
-            shards: None,
-            queue: None,
-            par_epoch_min: None,
             reconfig: ReconfigPlan::default(),
         }
     }
@@ -181,9 +157,9 @@ fn mix64(mut z: u64) -> u64 {
 /// the second the entity id. For a fixed `(root_seed, domain)` the map
 /// `entity_id -> seed` is a bijection (each round is invertible), so streams
 /// within a domain can never collide. Because each entity draws only from
-/// its own stream, its draw sequence depends solely on its own event order —
-/// which is what makes shard interleaving invisible to randomness and
-/// intra-run parallel dispatch deterministic.
+/// its own stream, its draw sequence depends solely on its own event order:
+/// adding an entity, or reordering other entities' events, never perturbs
+/// it.
 pub fn derive_seed(root_seed: u64, domain: u64, entity_id: u64) -> u64 {
     let s1 = mix64(root_seed ^ domain.wrapping_mul(0x9E37_79B9_7F4A_7C15));
     mix64(s1 ^ entity_id.wrapping_mul(0xBF58_476D_1CE4_E5B9))
@@ -193,12 +169,12 @@ pub fn derive_seed(root_seed: u64, domain: u64, entity_id: u64) -> u64 {
 // Event-sequence key packing.
 // ---------------------------------------------------------------------------
 
-/// Event keys are `(time, seq)`; `seq` packs the generating context (a host
-/// id, or [`CTRL_CTX`] for the driver/control plane) into the high 16 bits
-/// over a per-context 48-bit push counter. Uniqueness is therefore local —
-/// each context only needs its own counter, which is what lets shard workers
-/// assign keys without synchronization — while the resulting total order is
-/// deterministic and independent of the shard layout.
+/// Event keys are `(time, seq)`; `seq` packs the dispatch context that
+/// pushed the event (the home host of the lane event being dispatched, or
+/// [`CTRL_CTX`] for the driver and control plane) into the high 16 bits over
+/// that context's 48-bit push counter ([`HostLane::ev_seq`] or
+/// `Sim::ctrl_seq`). Keys are unique, so ties at equal times resolve the
+/// same way on every run.
 const CTX_SHIFT: u32 = 48;
 /// Low-bit mask for the per-context push counter.
 const SEQ_MASK: u64 = (1 << CTX_SHIFT) - 1;
@@ -213,8 +189,8 @@ const MAX_HOSTS: usize = 0xFFFE;
 // ---------------------------------------------------------------------------
 
 /// Generational frame handle. Frame tables are per-host, so the handle
-/// carries the owning host: any executor can both route an event to the
-/// frame's home shard and resolve the frame without a global table.
+/// carries the owning host: an event names its frame's home host (its key
+/// context) and resolves the frame without a global table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 struct FrameId {
     host: u32,
@@ -451,8 +427,9 @@ pub(crate) struct StrArena {
 
 impl StrArena {
     pub(crate) fn intern(&mut self, s: &str) -> NameId {
-        // Linear scan: interning happens only at boot over a few dozen
-        // distinct names; dedup keeps repeated method names cheap.
+        // Linear scan: interning happens at boot over a few dozen distinct
+        // names (plus a method name no entry knows, when a shed submission
+        // names one); dedup keeps repeated method names cheap.
         if let Some(i) = self.names.iter().position(|n| &**n == s) {
             return NameId(i as u32);
         }
@@ -568,7 +545,7 @@ impl<'a> ProgCompiler<'a> {
                     .collect()
             })
             .collect();
-        let mut client_ids = HashMap::new();
+        let mut client_ids = HashMap::default();
         let mut next = 0u32;
         for (si, s) in spec.services.iter().enumerate() {
             for dep in s.deps.keys() {
@@ -723,15 +700,20 @@ struct ExecCtx {
     repeat_left: u32,
 }
 
+/// The names and submission time of an entry request, as its completion
+/// record reports them.
+#[derive(Debug, Clone, Copy)]
+struct EntryReq {
+    entry: NameId,
+    method: NameId,
+    submitted_ns: SimTime,
+}
+
 /// Where a frame's completion goes.
 #[derive(Debug, Clone, Copy)]
 enum FrameKind {
     /// Workload-submitted entry request.
-    Entry {
-        entry: NameId,
-        method: NameId,
-        submitted_ns: SimTime,
-    },
+    Entry(EntryReq),
     /// Serving an RPC; the reply routes back to the caller's call attempt.
     Rpc {
         caller: FrameId,
@@ -1034,7 +1016,7 @@ struct CanaryRt {
     done: bool,
 }
 
-/// Deterministic canary routing state, read by LB picks during epochs.
+/// Deterministic canary routing state, read by LB picks.
 #[derive(Debug, Clone, Copy)]
 struct CanaryRoute {
     /// Seeded salt hashed with the request's root sequence number, so one
@@ -1363,15 +1345,13 @@ enum JobCont {
 }
 
 // ---------------------------------------------------------------------------
-// The simulator: shared core, per-host lanes, shard executors.
+// The simulator: cluster-wide tables and per-host lanes.
 // ---------------------------------------------------------------------------
 
-/// State shared read-only by every shard worker during an epoch. Everything
-/// here is either immutable after boot (programs, names, location tables,
-/// shard layout) or mutated exclusively by the control plane *between*
-/// epochs (`proc_down`, `proc_gen`, `link_faults`) — control events run with
-/// `&mut Sim` while no worker is live, so workers only ever observe a
-/// consistent snapshot.
+/// Cluster-wide state: tables fixed at boot (programs, names, location
+/// tables) plus the control plane's view of the cluster (`proc_down`,
+/// `link_faults`, rotation state), which lane events read and control events
+/// write.
 struct Shared {
     /// All compiled behavior programs (see [`ProgArena`]).
     progs: ProgArena,
@@ -1399,22 +1379,7 @@ struct Shared {
     /// Process → host.
     proc_host: Vec<u32>,
 
-    // Event-loop layout (see `DESIGN.md` §6).
-    /// Host → event-queue shard.
-    host_shard: Vec<u32>,
-    /// Host → lane position within its shard's epoch executor.
-    par_lane_idx: Vec<u32>,
-    /// Host → lane position in an all-owning executor (identity).
-    seq_lane_idx: Vec<u32>,
-    /// Conservative epoch width: the minimum network latency on any binding
-    /// that crosses host groups. `None` when nothing crosses groups (epochs
-    /// are then bounded only by the run horizon and control events).
-    lookahead: Option<SimTime>,
-    /// Independent host groups in the spec (hosts joined by any 0 ns
-    /// cross-host binding collapse into one group).
-    n_groups: usize,
-
-    // Fault state: written by the control plane between epochs only.
+    // Fault state: written by control events only.
     /// Whether each process is currently crashed.
     proc_down: Vec<bool>,
     /// Crash generation per process; guards stale `ProcRestart` events.
@@ -1423,9 +1388,9 @@ struct Shared {
     /// (src process, dst process). Lookup-only, so map order never matters.
     link_faults: HashMap<(usize, usize), LinkFault>,
 
-    // Reconfiguration state: written by the control plane between epochs
-    // only, and read on hot paths only behind `reconfig_on` — a run with an
-    // empty plan never branches past the single bool.
+    // Reconfiguration state: written by control events only, and read on
+    // hot paths only behind `reconfig_on` — a run with an empty plan never
+    // branches past the single bool.
     /// Whether any reconfiguration is (or ever was) in effect.
     reconfig_on: bool,
     /// Service in the load-balancer rotation (scale state). All true at
@@ -1440,9 +1405,7 @@ struct Shared {
 
 /// All mutable runtime state homed on one host: its CPU scheduler, the
 /// processes/services/clients/backends that live there, its frame table, and
-/// its share of the event-sequence counter. During an epoch a lane is owned
-/// by exactly one shard worker, which is what makes concurrent dispatch
-/// race-free without locks.
+/// its event-key push counter.
 struct HostLane {
     ps: PsHost,
     /// Bumped on every scheduler perturbation; guards stale `HostCheck`s.
@@ -1462,13 +1425,9 @@ struct HostLane {
 
     jobs: HashMap<JobId, JobCont>,
     next_job: u64,
-    /// Push counter for events generated while dispatching this host
-    /// (the low 48 bits of their `(time, seq)` keys).
+    /// Push counter for events generated while dispatching this host's
+    /// events (the low 48 bits of their `(time, seq)` keys).
     ev_seq: u64,
-
-    /// Completions of entry frames homed here (the workload host, in
-    /// practice). Drained in host order, which is partition-invariant.
-    completions: Vec<Completion>,
 }
 
 impl HostLane {
@@ -1517,77 +1476,31 @@ impl HostLane {
     }
 }
 
-/// Sentinel shard id for the executor that owns every lane (sequential and
-/// inline dispatch); disables the foreign-lane debug guard.
-const ALL_SHARDS: u32 = u32::MAX;
-
-/// One dispatch executor: a view over the shared core plus exclusive
-/// ownership of some subset of lanes and their event queues. The sequential
-/// loop builds one executor owning everything; the epoch-parallel loop
-/// builds one per shard, each on its own scoped thread, with sends to
-/// foreign shards buffered in `outbox` until the epoch closes.
-struct ShardExec<'a> {
-    sh: &'a Shared,
-    /// Owned lanes; indexed through `lane_idx` by host id.
-    lanes: Vec<&'a mut HostLane>,
-    /// Host → position in `lanes` (only valid for owned hosts).
-    lane_idx: &'a [u32],
-    /// Shard queues; `None` marks queues owned by another worker this epoch.
-    queues: Vec<Option<&'a mut EvQueue<Ev>>>,
-    /// Events bound for foreign shards, flushed after the epoch. Every such
-    /// event is a network send with delay ≥ the lookahead, so it lands at or
-    /// beyond the epoch bound — never inside a queue a peer is popping.
-    outbox: Vec<(usize, evq::Entry<Ev>)>,
-    now: SimTime,
-    /// Host whose event is currently being dispatched (the context id for
-    /// key packing).
-    cur_host: u32,
-    /// This worker's shard id, or [`ALL_SHARDS`] (debug guard only).
-    shard: u32,
-    /// Scratch counters, merged into `Metrics` after the epoch (all fields
-    /// are additive, so partition and merge order are invisible).
-    counters: SimCounters,
-    /// Span collector; `Some` only in sequential dispatch (tracing forces
-    /// it), `None` on epoch workers.
-    traces: Option<&'a mut TraceCollector>,
-}
-
-/// Home host of a lane event — the host whose lane must be exclusively
-/// owned to dispatch it. `None` for control-plane events, which run between
-/// epochs with full `&mut Sim` access.
+/// Dispatch context of an event: the host whose lane it runs on (and whose
+/// push counter keys the events it schedules), or [`CTRL_CTX`] for
+/// control-plane events, which touch cluster-wide state.
 ///
-/// Unlike the pre-epoch router this is *total and exact*: frame ids carry
-/// their home host, so routing never needs to resolve (possibly dead)
-/// frames, and an event can never land on a shard that does not own the
-/// state it touches.
-fn ev_home_host(sh: &Shared, ev: &Ev) -> Option<usize> {
-    match ev {
-        Ev::HostCheck { host, .. } | Ev::HogEnd { host, .. } => Some(*host),
+/// Frame ids carry their home host, so this never needs to resolve
+/// (possibly dead) frames.
+fn ev_ctx(sh: &Shared, ev: &Ev) -> u64 {
+    let host = match ev {
+        Ev::HostCheck { host, .. } | Ev::HogEnd { host, .. } => *host as u32,
         Ev::Resume { frame }
         | Ev::Timeout { frame, .. }
         | Ev::RetryFire { frame, .. }
-        | Ev::DeliverResponse { frame, .. } => Some(frame.host as usize),
-        Ev::DeliverRequest { req } => Some(match req.target {
-            CallTarget::Service { svc, .. } => sh.proc_host[sh.svc_proc[svc] as usize] as usize,
-            CallTarget::Backend { backend, .. } => {
-                sh.proc_host[sh.backend_proc[backend] as usize] as usize
-            }
-        }),
+        | Ev::DeliverResponse { frame, .. } => frame.host,
+        Ev::DeliverRequest { req } => match req.target {
+            CallTarget::Service { svc, .. } => sh.proc_host[sh.svc_proc[svc] as usize],
+            CallTarget::Backend { backend, .. } => sh.proc_host[sh.backend_proc[backend] as usize],
+        },
         Ev::ConnFreed { client } => {
             let owner = sh.client_owner[*client as usize] as usize;
-            Some(sh.proc_host[sh.svc_proc[owner] as usize] as usize)
+            sh.proc_host[sh.svc_proc[owner] as usize]
         }
-        Ev::ReplicaApply { backend, .. } => {
-            Some(sh.proc_host[sh.backend_proc[*backend] as usize] as usize)
-        }
-        // Control plane: fault application mutates cluster-wide state
-        // (`proc_down`, `link_faults`, multi-host crash sweeps), so these
-        // serialize between epochs. Reconfiguration events do the same for
-        // `svc_active`/`svc_draining`/`canary_route` and client rewiring —
-        // running them in the ctrl slot is what makes a plan byte-identical
-        // at any thread count.
-        // Store failover joins them: an election re-points the store's
-        // serving process (`backend_proc`), which shard workers read.
+        Ev::ReplicaApply { backend, .. } => sh.proc_host[sh.backend_proc[*backend] as usize],
+        // Control plane: faults, restarts, chaos draws, store elections, and
+        // reconfiguration mutate cluster-wide state (`proc_down`,
+        // `link_faults`, `backend_proc`, rotation state, client rewiring).
         Ev::FaultFire { .. }
         | Ev::ProcRestart { .. }
         | Ev::ChaosFire
@@ -1596,17 +1509,22 @@ fn ev_home_host(sh: &Shared, ev: &Ev) -> Option<usize> {
         | Ev::RollAdvance { .. }
         | Ev::AutoscaleTick { .. }
         | Ev::CanaryEval { .. }
-        | Ev::StoreFailover { .. } => None,
-    }
+        | Ev::StoreFailover { .. } => return CTRL_CTX,
+    };
+    host as u64
 }
 
 /// A running simulated deployment.
 pub struct Sim {
     cfg: SimConfig,
     now: SimTime,
+    /// Key context of pushes right now: the home host of the lane event
+    /// being dispatched, else [`CTRL_CTX`] (driver calls, control events).
+    ctx: u64,
     /// Push counter for driver/control events (the [`CTRL_CTX`] context).
     ctrl_seq: u64,
-    events: EventShards<Ev>,
+    /// Every pending event, lane and control alike.
+    events: Wheel<Ev>,
 
     sh: Shared,
     /// Per-host mutable runtime, indexed by host id.
@@ -1617,6 +1535,8 @@ pub struct Sim {
     entries: BTreeMap<String, u32>,
     entry_rts: Vec<EntryRt>,
     next_root: u64,
+    /// Entry requests finished since the last [`Sim::drain_completions`].
+    completions: Vec<Completion>,
 
     /// Chaos process, when configured (its RNG stream is separate from the
     /// per-entity streams, as before).
@@ -1624,14 +1544,6 @@ pub struct Sim {
     /// Reconfiguration runtime; `None` until a plan is scheduled or
     /// [`Sim::apply_change`] is first called.
     reconfig: Option<Box<ReconfigRt>>,
-
-    /// Effective shard count: the requested count capped by the number of
-    /// independent host groups.
-    n_shards: usize,
-    /// Epoch-parallel dispatch enabled (`n_shards > 1` and tracing off).
-    par_enabled: bool,
-    /// Queued-event threshold below which epochs dispatch inline.
-    par_epoch_min: usize,
 
     /// Aggregate metrics of the run.
     pub metrics: Metrics,
@@ -1642,14 +1554,11 @@ pub struct Sim {
 }
 
 /// `Sim` is `Send` by construction: program interning is arena-index based
-/// (no `Rc`), so a run can migrate across threads and epoch workers can be
-/// scoped threads. This assert is the compile-time pin — reintroducing an
-/// `Rc` (or any other `!Send` field) fails the build here.
+/// (no `Rc`), so a run can migrate across threads (`par_run` workers). This
+/// assert is the compile-time pin — reintroducing an `Rc` (or any other
+/// `!Send` field) fails the build here.
 const fn _assert_send<T: Send>() {}
 const _: () = _assert_send::<Sim>();
-/// Epoch workers additionally share `&Shared` across threads.
-const fn _assert_sync<T: Sync>() {}
-const _: () = _assert_sync::<Shared>();
 
 /// Frame slots are addressed by `u32` indices (`FrameId::idx`), so the frame
 /// table is hard-capped; [`Sim::new`] rejects a larger `max_frames` loudly
@@ -1666,29 +1575,6 @@ impl Sim {
                 cfg.max_frames, MAX_FRAMES_CAP
             )));
         }
-        // Resolve the event-loop layout up front so bad values fail loudly
-        // (out-of-range shard counts used to be silently clamped).
-        let requested_shards = match cfg.shards {
-            None => std::env::var("BLUEPRINT_THREADS")
-                .ok()
-                .and_then(|v| v.trim().parse::<usize>().ok())
-                .filter(|n| *n >= 1)
-                .unwrap_or(1)
-                .min(64),
-            Some(0) => {
-                return Err(SimError::BadSpec(
-                    "shards must be >= 1 (Some(0) is not a valid shard count; \
-                     use None to defer to BLUEPRINT_THREADS)"
-                        .into(),
-                ))
-            }
-            Some(n) if n > 64 => {
-                return Err(SimError::BadSpec(format!(
-                    "shards {n} exceeds the cap of 64"
-                )))
-            }
-            Some(n) => n,
-        };
         if !cfg.faults.is_empty() {
             // Validated against the user's spec, so plans can never target
             // the hidden workload host/process appended below.
@@ -1886,29 +1772,6 @@ impl Sim {
             })
             .collect();
 
-        // Host-group layout: hosts joined by any 0 ns cross-host binding
-        // must share a shard (their interactions admit no lookahead), and
-        // the epoch width is the minimum latency crossing group boundaries.
-        // Computed on the augmented spec so the workload shims participate.
-        let groups = crate::spec::host_groups(&spec);
-        let n_shards = requested_shards.min(groups.n_groups).max(1);
-        let host_shard: Vec<u32> = groups
-            .group_of
-            .iter()
-            .map(|g| (g % n_shards) as u32)
-            .collect();
-        let mut shard_fill = vec![0u32; n_shards];
-        let par_lane_idx: Vec<u32> = host_shard
-            .iter()
-            .map(|&s| {
-                let i = shard_fill[s as usize];
-                shard_fill[s as usize] += 1;
-                i
-            })
-            .collect();
-        let seq_lane_idx: Vec<u32> = (0..host_names.len() as u32).collect();
-        let queue_kind = cfg.queue.unwrap_or_else(EvQueueKind::from_env);
-
         // Location tables + lane distribution, in global-id order per kind
         // (local indices are therefore deterministic).
         let proc_host: Vec<u32> = spec.processes.iter().map(|p| p.host as u32).collect();
@@ -1930,10 +1793,9 @@ impl Sim {
                 free_frames: Vec::new(),
                 live: 0,
                 stack_pool: Vec::new(),
-                jobs: HashMap::new(),
+                jobs: HashMap::default(),
                 next_job: 0,
                 ev_seq: 0,
-                completions: Vec::new(),
             })
             .collect();
         let mut proc_loc = Vec::with_capacity(procs.len());
@@ -1964,8 +1826,6 @@ impl Sim {
 
         let n_procs = proc_names.len();
         let n_svcs = spec.services.len();
-        let par_enabled = n_shards > 1 && !cfg.record_traces;
-        let par_epoch_min = cfg.par_epoch_min.unwrap_or(4096);
         let sh = Shared {
             progs: compiler.arena,
             names,
@@ -1981,14 +1841,9 @@ impl Sim {
             backend_proc,
             client_owner,
             proc_host,
-            host_shard,
-            par_lane_idx,
-            seq_lane_idx,
-            lookahead: groups.lookahead,
-            n_groups: groups.n_groups,
             proc_down: vec![false; n_procs],
             proc_gen: vec![0; n_procs],
-            link_faults: HashMap::new(),
+            link_faults: HashMap::default(),
             reconfig_on: false,
             svc_active: vec![true; n_svcs],
             svc_draining: vec![false; n_svcs],
@@ -1997,8 +1852,9 @@ impl Sim {
         let mut sim = Sim {
             cfg,
             now: 0,
+            ctx: CTRL_CTX,
             ctrl_seq: 0,
-            events: EventShards::new(queue_kind, n_shards),
+            events: Wheel::new(),
             sh,
             lanes,
             host_names,
@@ -2008,11 +1864,9 @@ impl Sim {
             // Root sequence numbers double as write versions; 0 is reserved
             // for "absent".
             next_root: 1,
+            completions: Vec::new(),
             chaos: None,
             reconfig: None,
-            n_shards,
-            par_enabled,
-            par_epoch_min,
             metrics: Metrics::default(),
             traces: TraceCollector::new(),
             spec_name: spec.name.clone(),
@@ -2197,8 +2051,7 @@ impl Sim {
         self.now
     }
 
-    /// Number of events currently queued (across all shards and the control
-    /// queue).
+    /// Number of events currently queued (lane and control events alike).
     pub fn pending_events(&self) -> usize {
         self.events.len()
     }
@@ -2218,27 +2071,6 @@ impl Sim {
         self.lanes.iter().map(|l| l.live).sum()
     }
 
-    /// Effective event-loop shard count (requested count capped by the
-    /// number of independent host groups in the spec).
-    pub fn shard_count(&self) -> usize {
-        self.n_shards
-    }
-
-    /// Number of independent host groups (hosts transitively joined by
-    /// zero-latency links count as one group). This caps `shard_count`.
-    pub fn host_group_count(&self) -> usize {
-        self.sh.n_groups
-    }
-
-    /// Conservative epoch width: the minimum network latency crossing host
-    /// groups, ns. `None` when no binding crosses groups. A spec whose
-    /// cross-host links include a 0 ns hop collapses those hosts into one
-    /// group instead of producing a zero lookahead, so this is `None` or
-    /// ≥ 1 — never `Some(0)`.
-    pub fn lookahead_ns(&self) -> Option<SimTime> {
-        self.sh.lookahead
-    }
-
     /// Number of requests (frames) a service instance has served so far.
     pub fn service_served(&self, name: &str) -> Option<u64> {
         let idx = self
@@ -2253,65 +2085,6 @@ impl Sim {
     pub fn process_heap(&self, proc_name: &str) -> Option<u64> {
         let idx = self.proc_names.iter().position(|n| n == proc_name)?;
         Some(self.proc_ref(idx).heap)
-    }
-
-    // -- Global-id entity accessors (driver/control paths) -------------------
-
-    fn proc_ref(&self, p: usize) -> &ProcRt {
-        let (h, l) = self.sh.proc_loc[p];
-        &self.lanes[h as usize].procs[l as usize]
-    }
-
-    fn proc_rt_mut(&mut self, p: usize) -> &mut ProcRt {
-        let (h, l) = self.sh.proc_loc[p];
-        &mut self.lanes[h as usize].procs[l as usize]
-    }
-
-    fn svc_ref(&self, s: usize) -> &SvcRt {
-        let (h, l) = self.sh.svc_loc[s];
-        &self.lanes[h as usize].services[l as usize]
-    }
-
-    fn svc_rt_mut(&mut self, s: usize) -> &mut SvcRt {
-        let (h, l) = self.sh.svc_loc[s];
-        &mut self.lanes[h as usize].services[l as usize]
-    }
-
-    fn client_rt_mut(&mut self, c: usize) -> &mut ClientRt {
-        let (h, l) = self.sh.client_loc[c];
-        &mut self.lanes[h as usize].clients[l as usize]
-    }
-
-    fn backend_ref(&self, b: usize) -> &BackendRt {
-        let (h, l) = self.sh.backend_loc[b];
-        &self.lanes[h as usize].backends[l as usize]
-    }
-
-    fn backend_rt_mut(&mut self, b: usize) -> &mut BackendRt {
-        let (h, l) = self.sh.backend_loc[b];
-        &mut self.lanes[h as usize].backends[l as usize]
-    }
-
-    /// Pushes an event from the driver/control plane. Keys use the
-    /// [`CTRL_CTX`] context, which sorts after every host context at equal
-    /// times; driver pushes only happen between `run_until` slices or
-    /// between epochs, so they are shard-layout-invariant.
-    fn push_ev(&mut self, time: SimTime, ev: Ev) {
-        debug_assert!(self.ctrl_seq < SEQ_MASK);
-        let seq = (CTRL_CTX << CTX_SHIFT) | self.ctrl_seq;
-        self.ctrl_seq += 1;
-        let entry = evq::Entry {
-            time: time.max(self.now),
-            seq,
-            item: ev,
-        };
-        match ev_home_host(&self.sh, &entry.item) {
-            Some(h) => {
-                let shard = self.sh.host_shard[h] as usize;
-                self.events.push_shard(shard, entry);
-            }
-            None => self.events.push_ctrl(entry),
-        }
     }
 
     // -- Public driver API ---------------------------------------------------
@@ -2377,32 +2150,17 @@ impl Sim {
 
         if self.inflight() >= self.cfg.max_frames {
             self.metrics.counters.admission_rejections += 1;
-            self.metrics.counters.completed_err += 1;
-            let method_name = match method_id {
-                Some(m) => self
-                    .sh
-                    .names
-                    .get(self.svc_ref(svc).method_names[m as usize])
-                    .to_string(),
-                None => method.to_string(),
+            // An unknown method still gets a completion under its own name.
+            let method = match method_id {
+                Some(m) => self.svc_ref(svc).method_names[m as usize],
+                None => self.sh.names.intern(method),
             };
-            let completion = Completion {
-                entry: self
-                    .sh
-                    .names
-                    .get(self.entry_rts[entry as usize].name)
-                    .to_string(),
-                method: method_name,
-                entity,
-                root_seq,
+            let req = EntryReq {
+                entry: self.entry_rts[entry as usize].name,
+                method,
                 submitted_ns: self.now,
-                finished_ns: self.now,
-                ok: false,
-                observed_version: 0,
-                failure: Some("shed"),
             };
-            let (h, _) = self.sh.svc_loc[svc];
-            self.lanes[h as usize].completions.push(completion);
+            self.finish_entry(req, entity, root_seq, 0, Some("shed"));
             return Ok(root_seq);
         }
 
@@ -2411,275 +2169,31 @@ impl Sim {
             return Err(SimError::Unknown(format!("method {entry_name}.{method}")));
         };
         let prog = self.svc_ref(svc).methods[m as usize];
-        let kind = FrameKind::Entry {
+        let kind = FrameKind::Entry(EntryReq {
             entry: self.entry_rts[entry as usize].name,
             method: self.svc_ref(svc).method_names[m as usize],
             submitted_ns: self.now,
-        };
-        // Entry shims never enable tracing, so this allocation skips the
-        // span logic entirely (asserted below).
+        });
+        // Entry shims never enable tracing, so the frame opens no span.
         debug_assert!(!self.svc_ref(svc).traced);
-        let now = self.now;
-        let fid = {
-            let (h, _) = self.sh.svc_loc[svc];
-            let lane = &mut self.lanes[h as usize];
-            let mut stack = lane
-                .stack_pool
-                .pop()
-                .unwrap_or_else(|| Vec::with_capacity(2));
-            stack.push(ExecCtx {
-                prog,
-                pc: 0,
-                repeat_left: 0,
-            });
-            let frame = Frame {
-                gen: 0,
-                service: svc,
-                stack,
-                entity,
-                root_seq,
-                kind,
-                call: None,
-                next_call_seq: 0,
-                pending_children: 0,
-                child_failed: false,
-                failed: false,
-                last_err: None,
-                observed_version: 0,
-                did_read: false,
-                span: None,
-                span_owned: false,
-                counted_admission: false,
-                deadline_ns: None,
-                admitted_ns: now,
-            };
-            lane.insert_frame(h, frame)
-        };
+        let fid = self.alloc_frame(svc, entity, root_seq, kind, prog, None);
         self.push_ev(self.now, Ev::Resume { frame: fid });
         Ok(root_seq)
     }
 
-    /// Runs the event loop until virtual time `t`.
-    ///
-    /// With more than one effective shard (and tracing off) this uses
-    /// conservative epoch-parallel dispatch; otherwise the classic
-    /// sequential loop. Either path yields byte-identical results.
+    /// Runs the event loop until virtual time `t`: every event due at or
+    /// before `t` dispatches in global `(time, seq)` order, each under its
+    /// own key context (see [`ev_ctx`]).
     pub fn run_until(&mut self, t: SimTime) {
-        if self.par_enabled {
-            self.run_until_par(t);
-        } else {
-            self.run_until_seq(t);
+        while self.events.peek_key().is_some_and(|(time, _)| time <= t) {
+            let e = self.events.pop().expect("peeked event exists");
+            self.now = e.time;
+            self.ctx = ev_ctx(&self.sh, &e.item);
+            self.dispatch(e.item);
         }
+        self.ctx = CTRL_CTX;
         self.now = self.now.max(t);
         self.sync_backend_metrics();
-    }
-
-    /// Sequential dispatch: one executor owns every lane and every queue.
-    /// Control events bound the inner drain so they still interleave with
-    /// lane events in global `(time, seq)` order.
-    fn run_until_seq(&mut self, t: SimTime) {
-        loop {
-            let cmin = self.events.ctrl_peek_key();
-            {
-                let mut exec = ShardExec {
-                    sh: &self.sh,
-                    lanes: self.lanes.iter_mut().collect(),
-                    lane_idx: &self.sh.seq_lane_idx,
-                    queues: self.events.shards_mut().iter_mut().map(Some).collect(),
-                    outbox: Vec::new(),
-                    now: self.now,
-                    cur_host: 0,
-                    shard: ALL_SHARDS,
-                    counters: SimCounters::default(),
-                    traces: Some(&mut self.traces),
-                };
-                exec.run(t, cmin);
-                debug_assert!(
-                    exec.outbox.is_empty(),
-                    "all-owning executor buffered a send"
-                );
-                self.now = exec.now;
-                let counters = std::mem::take(&mut exec.counters);
-                drop(exec);
-                self.metrics.counters.merge_from(&counters);
-            }
-            match cmin {
-                Some((ct, _)) if ct <= t => {
-                    let e = self.events.pop_ctrl().expect("peeked control event");
-                    self.now = e.time;
-                    self.dispatch_ctrl(e.item);
-                }
-                _ => break,
-            }
-        }
-    }
-
-    /// Conservative epoch-parallel dispatch (see `DESIGN.md` §6). Each
-    /// iteration either runs one control event (exclusively, between
-    /// epochs) or one epoch `[t0, t0 + lookahead)` during which every
-    /// non-empty shard drains its local events on a scoped thread; sends to
-    /// foreign shards buffer in per-worker outboxes and flush at the
-    /// barrier, where they land at or beyond the epoch bound by
-    /// construction (network delay ≥ lookahead).
-    fn run_until_par(&mut self, t: SimTime) {
-        loop {
-            let cmin = self.events.ctrl_peek_key();
-            let qmin = self.events.queue_min().map(|(_, k)| k);
-            let ctrl_first = match (qmin, cmin) {
-                (None, Some(_)) => true,
-                (Some(qk), Some(ck)) => ck < qk,
-                _ => false,
-            };
-            if ctrl_first {
-                let ck = cmin.expect("control key peeked");
-                if ck.0 > t {
-                    break;
-                }
-                let e = self.events.pop_ctrl().expect("peeked control event");
-                self.now = e.time;
-                self.dispatch_ctrl(e.item);
-                continue;
-            }
-            let Some(qk) = qmin else { break };
-            if qk.0 > t {
-                break;
-            }
-
-            if self.events.queued_len() < self.par_epoch_min {
-                // Too few events to amortize thread spawns: dispatch inline
-                // with one all-owning executor. Bounded only by the next
-                // control event (not the epoch), which processes strictly
-                // more work per pass — results are invariant either way.
-                let mut exec = ShardExec {
-                    sh: &self.sh,
-                    lanes: self.lanes.iter_mut().collect(),
-                    lane_idx: &self.sh.seq_lane_idx,
-                    queues: self.events.shards_mut().iter_mut().map(Some).collect(),
-                    outbox: Vec::new(),
-                    now: self.now,
-                    cur_host: 0,
-                    shard: ALL_SHARDS,
-                    counters: SimCounters::default(),
-                    traces: None,
-                };
-                exec.run(t, cmin);
-                debug_assert!(exec.outbox.is_empty());
-                self.now = exec.now;
-                let counters = std::mem::take(&mut exec.counters);
-                drop(exec);
-                self.metrics.counters.merge_from(&counters);
-                continue;
-            }
-
-            // Epoch bound: strictly-less-than `t0 + lookahead` expressed as
-            // a key bound with seq 0, additionally clipped by the next
-            // control event. `lookahead` is `None` when nothing crosses
-            // shards — then only the horizon and control events bound the
-            // epoch.
-            let epoch_bound = self.sh.lookahead.map(|la| (qk.0.saturating_add(la), 0u64));
-            let bound = match (epoch_bound, cmin) {
-                (Some(e), Some(c)) => Some(e.min(c)),
-                (Some(e), None) => Some(e),
-                (None, c) => c,
-            };
-
-            let sh = &self.sh;
-            let n_shards = self.n_shards;
-            let now0 = self.now;
-            let mut lane_parts: Vec<Vec<&mut HostLane>> =
-                (0..n_shards).map(|_| Vec::new()).collect();
-            for (h, lane) in self.lanes.iter_mut().enumerate() {
-                lane_parts[sh.host_shard[h] as usize].push(lane);
-            }
-            let mut execs: Vec<ShardExec> = Vec::with_capacity(n_shards);
-            for (s, (lanes, q)) in lane_parts
-                .into_iter()
-                .zip(self.events.shards_mut().iter_mut())
-                .enumerate()
-            {
-                // A worker whose queue is empty can receive no work this
-                // epoch (cross-shard sends land beyond the bound), so skip
-                // spawning it.
-                if q.is_empty() {
-                    continue;
-                }
-                let mut queues: Vec<Option<&mut EvQueue<Ev>>> =
-                    (0..n_shards).map(|_| None).collect();
-                queues[s] = Some(q);
-                execs.push(ShardExec {
-                    sh,
-                    lanes,
-                    lane_idx: &sh.par_lane_idx,
-                    queues,
-                    outbox: Vec::new(),
-                    now: now0,
-                    cur_host: 0,
-                    shard: s as u32,
-                    counters: SimCounters::default(),
-                    traces: None,
-                });
-            }
-            let finished: Vec<ShardExec> = std::thread::scope(|scope| {
-                let handles: Vec<_> = execs
-                    .into_iter()
-                    .map(|mut e| {
-                        scope.spawn(move || {
-                            e.run(t, bound);
-                            e
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("epoch worker panicked"))
-                    .collect()
-            });
-            // Close the epoch: merge scratch counters (additive, so merge
-            // order is invisible) and flush outboxes. Keys are globally
-            // unique, so queue insertion order cannot affect pop order.
-            let mut max_now = self.now;
-            let mut counters = SimCounters::default();
-            let mut flush: Vec<(usize, evq::Entry<Ev>)> = Vec::new();
-            for mut e in finished {
-                max_now = max_now.max(e.now);
-                counters.merge_from(&e.counters);
-                flush.append(&mut e.outbox);
-            }
-            self.metrics.counters.merge_from(&counters);
-            self.now = max_now;
-            for (shard, entry) in flush {
-                debug_assert!(
-                    epoch_bound.is_none_or(|(te, _)| entry.time >= te),
-                    "cross-shard send landed inside its own epoch"
-                );
-                self.events.push_shard(shard, entry);
-            }
-        }
-    }
-
-    /// Dispatches a control-plane event. Runs with `&mut Sim` between
-    /// epochs (or between sequential drain segments), so it may touch
-    /// cluster-wide state that shard workers only read.
-    fn dispatch_ctrl(&mut self, ev: Ev) {
-        match ev {
-            Ev::FaultFire { fault } => self.apply_fault(fault),
-            Ev::ProcRestart { proc, gen } => {
-                if self.sh.proc_gen[proc] == gen && self.sh.proc_down[proc] {
-                    self.sh.proc_down[proc] = false;
-                    // A restarted store member (including a deposed primary)
-                    // resyncs from the current primary before serving again.
-                    self.resync_store_members(proc);
-                }
-            }
-            Ev::StoreFailover { backend, gen } => self.on_store_failover(backend, gen),
-            Ev::ChaosFire => self.on_chaos_fire(),
-            Ev::ReconfigFire { idx } => self.on_reconfig_fire(idx),
-            Ev::DrainDone { token } => self.on_drain_done(token),
-            Ev::RollAdvance { rolling } => self.on_roll_advance(rolling),
-            Ev::AutoscaleTick { scaler } => self.on_autoscale_tick(scaler),
-            Ev::CanaryEval { canary } => self.on_canary_eval(canary),
-            other => unreachable!("lane event {other:?} on the control queue"),
-        }
     }
 
     /// Mirrors dense per-backend stats into the name-keyed metrics map.
@@ -2704,16 +2218,10 @@ impl Sim {
         }
     }
 
-    /// Takes the completions recorded since the last drain, concatenating
-    /// per-lane buffers in host order (partition-invariant: entry frames
-    /// all home on the workload host).
+    /// Takes the completions recorded since the last drain, in completion
+    /// order.
     pub fn drain_completions(&mut self) -> Vec<Completion> {
-        let total: usize = self.lanes.iter().map(|l| l.completions.len()).sum();
-        let mut out = Vec::with_capacity(total);
-        for lane in &mut self.lanes {
-            out.append(&mut lane.completions);
-        }
-        out
+        self.completions.drain(..).collect()
     }
 
     /// Injects CPU contention on a host for a duration (the FIRM anomaly
@@ -2725,7 +2233,7 @@ impl Sim {
             .position(|n| n == host)
             .ok_or_else(|| SimError::Unknown(format!("host {host}")))?;
         self.lanes[h].ps.adjust_hog(self.now, cores);
-        self.touch_host_sim(h);
+        self.touch_host(h);
         self.push_ev(
             self.now + duration,
             Ev::HogEnd {
@@ -2834,7 +2342,7 @@ impl Sim {
     /// Flushes a cache backend (the Type-4 metastability trigger).
     pub fn cache_flush(&mut self, backend: &str) -> Result<()> {
         let b = self.backend_idx(backend)?;
-        self.backend_rt_mut(b).cache.flush();
+        self.backend_mut(b).cache.flush();
         Ok(())
     }
 
@@ -2845,7 +2353,7 @@ impl Sim {
             BackendRtKind::Cache { capacity_items, .. } => capacity_items,
             _ => return Err(SimError::Unknown(format!("{backend} is not a cache"))),
         };
-        let BackendRt { cache, rng, .. } = self.backend_rt_mut(b);
+        let BackendRt { cache, rng, .. } = self.backend_mut(b);
         for k in 0..n.min(capacity) {
             cache.put(k, version, capacity, rng);
         }
@@ -2861,7 +2369,7 @@ impl Sim {
     /// Pre-fills a store (every member) with keys `0..n`.
     pub fn store_fill(&mut self, backend: &str, n: u64, version: u64) -> Result<()> {
         let b = self.backend_idx(backend)?;
-        let store = &mut self.backend_rt_mut(b).store;
+        let store = &mut self.backend_mut(b).store;
         for m in &mut store.members {
             for k in 0..n {
                 m.map.insert(k, version);
@@ -2905,18 +2413,6 @@ impl Sim {
         (0..self.sh.backend_loc.len())
             .find(|&i| self.sh.names.get(self.backend_ref(i).name) == name)
             .ok_or_else(|| SimError::Unknown(format!("backend {name}")))
-    }
-
-    /// Re-arms a host's `HostCheck` after a driver/control-plane scheduler
-    /// perturbation (the executor-side equivalent lives in `ShardExec`).
-    fn touch_host_sim(&mut self, host: usize) {
-        let now = self.now;
-        let lane = &mut self.lanes[host];
-        lane.host_gen += 1;
-        let gen = lane.host_gen;
-        if let Some(t) = lane.ps.next_completion(now) {
-            self.push_ev(t, Ev::HostCheck { host, gen });
-        }
     }
 }
 

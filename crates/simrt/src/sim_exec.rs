@@ -1,122 +1,59 @@
-// Execution half of the simulator: event dispatch and the behavior
-// interpreter, as methods on `ShardExec` so the same code path serves both
-// the sequential loop (one executor owning every lane) and epoch-parallel
-// workers (one executor per shard). Included by `sim.rs` (same module) to
-// keep file sizes reviewable while sharing all private types.
+// Execution half of the simulator: event dispatch, the behavior
+// interpreter, and the control plane, as methods on `Sim`. Included by
+// `sim.rs` (same module) to keep file sizes reviewable while sharing all
+// private types.
 
-impl<'a> ShardExec<'a> {
+impl Sim {
     // ------------------------------------------------------------------
-    // Executor core: queue scan, event push, lane/entity access.
+    // Event push and lane/entity access.
     // ------------------------------------------------------------------
 
-    /// Drains owned queues in `(time, seq)` order until the horizon
-    /// `until` (inclusive) or the first event at or beyond `bound`
-    /// (exclusive — used for epoch ends and pending control events).
-    fn run(&mut self, until: SimTime, bound: Option<EvKey>) {
-        loop {
-            // k-way min scan over owned queues. k is the shard count (tiny);
-            // for the common one-owned-queue worker this is one peek.
-            let mut best: Option<(usize, EvKey)> = None;
-            for (si, q) in self.queues.iter_mut().enumerate() {
-                let Some(q) = q else { continue };
-                if let Some(k) = q.peek_key() {
-                    if best.is_none_or(|(_, bk)| k < bk) {
-                        best = Some((si, k));
-                    }
-                }
-            }
-            let Some((si, key)) = best else { return };
-            if key.0 > until {
-                return;
-            }
-            if let Some(b) = bound {
-                if key >= b {
-                    return;
-                }
-            }
-            let e = self.queues[si]
-                .as_mut()
-                .expect("owned queue")
-                .pop()
-                .expect("peeked event exists");
-            self.now = e.time;
-            self.cur_host = ev_home_host(self.sh, &e.item).expect("lane event has a home host")
-                as u32;
-            self.dispatch(e.item);
-        }
-    }
-
-    /// Pushes an event, keyed by the current dispatch context: the high key
-    /// bits carry `cur_host`, the low bits that lane's private push counter.
-    /// Events homed on a foreign shard buffer in the outbox (every such
-    /// event is a network send with delay ≥ the lookahead, so it lands at
-    /// or beyond the epoch bound).
+    /// Pushes an event, keyed by the current dispatch context
+    /// ([`Sim::ctx`]): the high key bits carry the context id, the low bits
+    /// that context's private push counter.
     fn push_ev(&mut self, time: SimTime, ev: Ev) {
-        let home = ev_home_host(self.sh, &ev).expect("executors only push lane events");
-        let shard = self.sh.host_shard[home] as usize;
-        let now = self.now;
-        let cur = self.cur_host;
-        let seq = {
-            let lane = self.lane(cur as usize);
-            debug_assert!(lane.ev_seq < SEQ_MASK);
-            let s = ((cur as u64) << CTX_SHIFT) | lane.ev_seq;
-            lane.ev_seq += 1;
-            s
+        let counter = if self.ctx == CTRL_CTX {
+            &mut self.ctrl_seq
+        } else {
+            &mut self.lanes[self.ctx as usize].ev_seq
         };
-        let entry = evq::Entry {
-            time: time.max(now),
+        debug_assert!(*counter < SEQ_MASK);
+        let seq = (self.ctx << CTX_SHIFT) | *counter;
+        *counter += 1;
+        self.events.push(evq::Entry {
+            time: time.max(self.now),
             seq,
             item: ev,
-        };
-        match self.queues.get_mut(shard).and_then(|q| q.as_mut()) {
-            Some(q) => q.push(entry),
-            None => self.outbox.push((shard, entry)),
-        }
-    }
-
-    fn lane(&mut self, host: usize) -> &mut HostLane {
-        debug_assert!(
-            self.shard == ALL_SHARDS || self.sh.host_shard[host] == self.shard,
-            "dispatch touched a foreign host's lane"
-        );
-        &mut *self.lanes[self.lane_idx[host] as usize]
-    }
-
-    fn lane_ref(&self, host: usize) -> &HostLane {
-        debug_assert!(
-            self.shard == ALL_SHARDS || self.sh.host_shard[host] == self.shard,
-            "dispatch touched a foreign host's lane"
-        );
-        &*self.lanes[self.lane_idx[host] as usize]
+        });
     }
 
     // Entity accessors: global id → lane-local slot via the location tables.
 
     fn proc_ref(&self, p: usize) -> &ProcRt {
         let (h, l) = self.sh.proc_loc[p];
-        &self.lane_ref(h as usize).procs[l as usize]
+        &self.lanes[h as usize].procs[l as usize]
     }
 
     fn proc_mut(&mut self, p: usize) -> &mut ProcRt {
         let (h, l) = self.sh.proc_loc[p];
-        &mut self.lane(h as usize).procs[l as usize]
+        &mut self.lanes[h as usize].procs[l as usize]
     }
 
     fn svc_ref(&self, s: usize) -> &SvcRt {
         let (h, l) = self.sh.svc_loc[s];
-        &self.lane_ref(h as usize).services[l as usize]
+        &self.lanes[h as usize].services[l as usize]
     }
 
     fn svc_mut(&mut self, s: usize) -> &mut SvcRt {
         let (h, l) = self.sh.svc_loc[s];
-        &mut self.lane(h as usize).services[l as usize]
+        &mut self.lanes[h as usize].services[l as usize]
     }
 
     /// Client by id, tolerating the [`UNBOUND_CLIENT`] sentinel (which flows
     /// into response/bookkeeping paths for calls that failed to bind).
     fn client_opt_mut(&mut self, client: u32) -> Option<&mut ClientRt> {
         let (h, l) = *self.sh.client_loc.get(client as usize)?;
-        Some(&mut self.lane(h as usize).clients[l as usize])
+        Some(&mut self.lanes[h as usize].clients[l as usize])
     }
 
     fn client_mut(&mut self, client: u32) -> &mut ClientRt {
@@ -125,22 +62,22 @@ impl<'a> ShardExec<'a> {
 
     fn backend_ref(&self, b: usize) -> &BackendRt {
         let (h, l) = self.sh.backend_loc[b];
-        &self.lane_ref(h as usize).backends[l as usize]
+        &self.lanes[h as usize].backends[l as usize]
     }
 
     fn backend_mut(&mut self, b: usize) -> &mut BackendRt {
         let (h, l) = self.sh.backend_loc[b];
-        &mut self.lane(h as usize).backends[l as usize]
+        &mut self.lanes[h as usize].backends[l as usize]
     }
 
     // Frame lifecycle (tables live on the frame's home lane).
 
     fn frame(&mut self, id: FrameId) -> Option<&mut Frame> {
-        self.lane(id.host as usize).frame_mut(id)
+        self.lanes[id.host as usize].frame_mut(id)
     }
 
     fn take_frame(&mut self, id: FrameId) -> Option<Frame> {
-        self.lane(id.host as usize).take_frame(id)
+        self.lanes[id.host as usize].take_frame(id)
     }
 
     fn alloc_frame(
@@ -152,12 +89,10 @@ impl<'a> ShardExec<'a> {
         prog: ProgId,
         parent_span: Option<(TraceId, SpanId)>,
     ) -> FrameId {
-        let sh = self.sh;
         let is_subtask = matches!(kind, FrameKind::SubTask { .. });
-        let (host, _) = sh.svc_loc[service];
+        let (host, _) = self.sh.svc_loc[service];
         let now = self.now;
-        let mut stack = self
-            .lane(host as usize)
+        let mut stack = self.lanes[host as usize]
             .stack_pool
             .pop()
             .unwrap_or_else(|| Vec::with_capacity(2));
@@ -166,24 +101,23 @@ impl<'a> ShardExec<'a> {
             pc: 0,
             repeat_left: 0,
         });
-        let (span, span_owned) = if !is_subtask && sh.record_traces && self.svc_ref(service).traced
+        let (span, span_owned) = if !is_subtask
+            && self.sh.record_traces
+            && self.svc_ref(service).traced
         {
+            let sh = &self.sh;
             let op = match &kind {
-                FrameKind::Entry { method, .. } => *method,
+                FrameKind::Entry(req) => req.method,
                 FrameKind::Rpc { .. } | FrameKind::SubTask { .. } => sh.rpc_name,
             };
-            let tr = self
-                .traces
-                .as_mut()
-                .expect("tracing forces sequential dispatch");
-            let sid = tr.start_span(
+            let sid = self.traces.start_span(
                 TraceId(root_seq),
                 parent_span.map(|(_, s)| s),
                 sh.names.get(sh.svc_names[service]),
                 sh.names.get(op),
                 now,
             );
-            self.counters.spans += 1;
+            self.metrics.counters.spans += 1;
             if let Some(ob) = self.svc_ref(service).overhead_prog {
                 stack.push(ExecCtx {
                     prog: ob,
@@ -217,7 +151,7 @@ impl<'a> ShardExec<'a> {
             deadline_ns: None,
             admitted_ns: now,
         };
-        self.lane(host as usize).insert_frame(host, frame)
+        self.lanes[host as usize].insert_frame(host, frame)
     }
 
     // ------------------------------------------------------------------
@@ -233,7 +167,7 @@ impl<'a> ShardExec<'a> {
                 // but can never cancel a due one on this path), so this
                 // matches remove-as-you-go order exactly.
                 let conts: Vec<JobCont> = {
-                    let lane = self.lane(host);
+                    let lane = &mut self.lanes[host];
                     if lane.host_gen != gen {
                         return;
                     }
@@ -254,7 +188,7 @@ impl<'a> ShardExec<'a> {
             }
             Ev::HogEnd { host, milli_cores } => {
                 let now = self.now;
-                self.lane(host)
+                self.lanes[host]
                     .ps
                     .adjust_hog(now, -(milli_cores as f64 / 1000.0));
                 self.touch_host(host);
@@ -266,13 +200,12 @@ impl<'a> ShardExec<'a> {
                 self.wake_waiters(client);
             }
             Ev::ReplicaApply { backend, member, key, version, gen } => {
-                let sh = self.sh;
-                let (cur_gen, armed, serving_proc, member_proc) = {
-                    let store = &self.backend_mut(backend).store;
+                let serving_proc = self.sh.backend_proc[backend] as usize;
+                let (cur_gen, armed, member_proc) = {
+                    let store = &self.backend_ref(backend).store;
                     (
                         store.gen,
                         store.armed,
-                        sh.backend_proc[backend] as usize,
                         store.members.get(member).map(|m| m.proc as usize),
                     )
                 };
@@ -284,13 +217,14 @@ impl<'a> ShardExec<'a> {
                 if armed {
                     // The member's process is down: the apply is lost; the
                     // restart resync will catch the member up instead.
-                    if sh.proc_down[member_proc] {
+                    if self.sh.proc_down[member_proc] {
                         return;
                     }
                     // Replication link fully cut: defer the apply to the
                     // partition's heal time (replica catch-up). Degraded
                     // (lossy but not cut) links deliver as usual.
-                    if let Some(lf) = sh.link_faults.get(&(serving_proc, member_proc)) {
+                    let link = self.sh.link_faults.get(&(serving_proc, member_proc)).copied();
+                    if let Some(lf) = link {
                         if lf.loss >= 1.0 && self.now < lf.until {
                             let until = lf.until;
                             self.push_ev(
@@ -311,19 +245,23 @@ impl<'a> ShardExec<'a> {
                     m.watermark = m.watermark.max(version);
                 }
             }
-            // Control events never reach shard queues (`ev_home_host`
-            // routes them to the control plane).
-            Ev::FaultFire { .. }
-            | Ev::ProcRestart { .. }
-            | Ev::ChaosFire
-            | Ev::ReconfigFire { .. }
-            | Ev::DrainDone { .. }
-            | Ev::RollAdvance { .. }
-            | Ev::AutoscaleTick { .. }
-            | Ev::CanaryEval { .. }
-            | Ev::StoreFailover { .. } => {
-                unreachable!("control event on a shard queue")
+            // Control plane.
+            Ev::FaultFire { fault } => self.apply_fault(fault),
+            Ev::ProcRestart { proc, gen } => {
+                if self.sh.proc_gen[proc] == gen && self.sh.proc_down[proc] {
+                    self.sh.proc_down[proc] = false;
+                    // A restarted store member (including a deposed primary)
+                    // resyncs from the current primary before serving again.
+                    self.resync_store_members(proc);
+                }
             }
+            Ev::StoreFailover { backend, gen } => self.on_store_failover(backend, gen),
+            Ev::ChaosFire => self.on_chaos_fire(),
+            Ev::ReconfigFire { idx } => self.on_reconfig_fire(idx),
+            Ev::DrainDone { token } => self.on_drain_done(token),
+            Ev::RollAdvance { rolling } => self.on_roll_advance(rolling),
+            Ev::AutoscaleTick { scaler } => self.on_autoscale_tick(scaler),
+            Ev::CanaryEval { canary } => self.on_canary_eval(canary),
         }
     }
 
@@ -369,8 +307,8 @@ impl<'a> ShardExec<'a> {
                     p.gc_job = None;
                     (p.host, started)
                 };
-                self.counters.gc_pause_ns += now.saturating_sub(started);
-                self.lane(host).ps.unfreeze_proc(now, proc);
+                self.metrics.counters.gc_pause_ns += now.saturating_sub(started);
+                self.lanes[host].ps.unfreeze_proc(now, proc);
                 self.touch_host(host);
             }
         }
@@ -384,7 +322,7 @@ impl<'a> ShardExec<'a> {
     fn touch_host(&mut self, host: usize) {
         let now = self.now;
         let (gen, next) = {
-            let lane = self.lane(host);
+            let lane = &mut self.lanes[host];
             lane.host_gen += 1;
             (lane.host_gen, lane.ps.next_completion(now))
         };
@@ -399,7 +337,7 @@ impl<'a> ShardExec<'a> {
         let frozen = proc_tag != NO_PROC && self.proc_ref(proc_tag).in_gc;
         let now = self.now;
         let job = {
-            let lane = self.lane(host);
+            let lane = &mut self.lanes[host];
             let id = JobId(lane.next_job);
             lane.next_job += 1;
             lane.jobs.insert(id, cont);
@@ -422,8 +360,7 @@ impl<'a> ShardExec<'a> {
 
     /// Records a heap allocation, potentially triggering a GC pause.
     fn heap_alloc(&mut self, proc: usize, bytes: u64) {
-        let sh = self.sh;
-        let Some(gc) = sh.gc_specs[proc].as_ref() else { return };
+        let Some(gc) = self.sh.gc_specs[proc].clone() else { return };
         let now = self.now;
         let (trigger, host, heap_mib) = {
             let p = self.proc_mut(proc);
@@ -437,8 +374,8 @@ impl<'a> ShardExec<'a> {
             (trigger, p.host, (p.heap >> 20).max(1))
         };
         if trigger {
-            self.counters.gc_pauses += 1;
-            self.lane(host).ps.freeze_proc(now, proc);
+            self.metrics.counters.gc_pauses += 1;
+            self.lanes[host].ps.freeze_proc(now, proc);
             let pause_work = (gc.pause_cpu_ns_per_mib * heap_mib) as f64;
             let job = self.add_job_on(host, NO_PROC, pause_work, JobCont::GcEnd { proc });
             self.proc_mut(proc).gc_job = Some(job);
@@ -460,10 +397,9 @@ impl<'a> ShardExec<'a> {
                 Done(bool),
                 Step(ProgId, usize),
             }
-            let sh = self.sh;
             let next = {
-                let progs = &sh.progs;
-                let lane = self.lane(fid.host as usize);
+                let progs = &self.sh.progs;
+                let lane = &mut self.lanes[fid.host as usize];
                 let frame = match lane.frames.get_mut(fid.idx as usize) {
                     Some(Some(f)) if f.gen == fid.gen => f,
                     _ => return,
@@ -505,11 +441,11 @@ impl<'a> ShardExec<'a> {
 
             // Steps are `Copy`: read the current one out of the arena so no
             // borrow is held across the dispatch below.
-            let step = sh.progs.get(prog).steps[pc];
+            let step = self.sh.progs.get(prog).steps[pc];
             match step {
                 CStep::Compute { cpu_ns, alloc_bytes } => {
                     let svc = self.frame(fid).expect("frame alive").service;
-                    let proc = sh.svc_proc[svc] as usize;
+                    let proc = self.sh.svc_proc[svc] as usize;
                     self.heap_alloc(proc, alloc_bytes);
                     self.add_proc_job(proc, cpu_ns as f64, JobCont::FrameStep(fid));
                     return;
@@ -520,7 +456,7 @@ impl<'a> ShardExec<'a> {
                 }
                 CStep::Cache { client, dest, op, key } => {
                     let (entity, root, svc) = self.frame_entity_root(fid);
-                    let proc = sh.svc_proc[svc] as usize;
+                    let proc = self.sh.svc_proc[svc] as usize;
                     // A cache fill after a read stores the version that was
                     // read (even "absent", version 0); a pure write path
                     // stamps its own write version. This keeps version
@@ -556,7 +492,7 @@ impl<'a> ShardExec<'a> {
                 }
                 CStep::CacheGetOrFetch { client, dest, key, on_miss } => {
                     let (entity, _, svc) = self.frame_entity_root(fid);
-                    let proc = sh.svc_proc[svc] as usize;
+                    let proc = self.sh.svc_proc[svc] as usize;
                     let k = self.resolve_key(key, entity, proc);
                     self.begin_call(
                         fid,
@@ -569,7 +505,7 @@ impl<'a> ShardExec<'a> {
                 }
                 CStep::Db { client, dest, op, key } => {
                     let (entity, root, svc) = self.frame_entity_root(fid);
-                    let proc = sh.svc_proc[svc] as usize;
+                    let proc = self.sh.svc_proc[svc] as usize;
                     let k = self.resolve_key(key, entity, proc);
                     let bop = match op {
                         DbOp::Read => BackendOp::StoreRead { key: k },
@@ -584,12 +520,12 @@ impl<'a> ShardExec<'a> {
                     return;
                 }
                 CStep::Parallel(branches) => {
-                    let live: Vec<ProgId> = sh
-                        .progs
+                    let progs = &self.sh.progs;
+                    let live: Vec<ProgId> = progs
                         .list(branches)
                         .iter()
                         .copied()
-                        .filter(|b| !sh.progs.get(*b).steps.is_empty())
+                        .filter(|b| !progs.get(*b).steps.is_empty())
                         .collect();
                     if live.is_empty() {
                         continue;
@@ -626,23 +562,23 @@ impl<'a> ShardExec<'a> {
                 }
                 CStep::Branch { prob, then, otherwise } => {
                     let svc = self.frame(fid).expect("frame alive").service;
-                    let proc = sh.svc_proc[svc] as usize;
+                    let proc = self.sh.svc_proc[svc] as usize;
                     let cond = self.proc_mut(proc).rng.gen::<f64>() < prob;
                     let chosen = if cond { then } else { otherwise };
-                    if !sh.progs.get(chosen).steps.is_empty() {
+                    if !self.sh.progs.get(chosen).steps.is_empty() {
                         let ctx = ExecCtx { prog: chosen, pc: 0, repeat_left: 0 };
                         self.frame(fid).expect("frame alive").stack.push(ctx);
                     }
                 }
                 CStep::Repeat { times, body } => {
-                    if times > 0 && !sh.progs.get(body).steps.is_empty() {
+                    if times > 0 && !self.sh.progs.get(body).steps.is_empty() {
                         let ctx = ExecCtx { prog: body, pc: 0, repeat_left: times - 1 };
                         self.frame(fid).expect("frame alive").stack.push(ctx);
                     }
                 }
                 CStep::Fail { prob } => {
                     let svc = self.frame(fid).expect("frame alive").service;
-                    let proc = sh.svc_proc[svc] as usize;
+                    let proc = self.sh.svc_proc[svc] as usize;
                     if self.proc_mut(proc).rng.gen::<f64>() < prob {
                         if let Some(frame) = self.frame(fid) {
                             frame.last_err = Some(CallErr::Fault);
@@ -762,7 +698,7 @@ impl<'a> ShardExec<'a> {
             )
         };
         if first_attempt {
-            self.counters.client_calls += 1;
+            self.metrics.counters.client_calls += 1;
         }
 
         // Deadline propagation: compute the deadline this attempt carries.
@@ -780,7 +716,7 @@ impl<'a> ShardExec<'a> {
         let expired = frame_deadline.map(|d| self.now >= d).unwrap_or(false)
             || attempt_deadline.map(|d| d <= self.now).unwrap_or(false);
         if expired {
-            self.counters.deadline_exceeded += 1;
+            self.metrics.counters.deadline_exceeded += 1;
             self.push_ev(
                 self.now,
                 Ev::DeliverResponse {
@@ -795,7 +731,7 @@ impl<'a> ShardExec<'a> {
 
         // Circuit breaker.
         if !self.breaker_allow(client_id) {
-            self.counters.breaker_rejections += 1;
+            self.metrics.counters.breaker_rejections += 1;
             self.push_ev(
                 self.now,
                 Ev::DeliverResponse {
@@ -945,20 +881,19 @@ impl<'a> ShardExec<'a> {
         work_ns: u64,
         mut net_ns: u64,
     ) {
-        let sh = self.sh;
-        let proc = sh.svc_proc[client_svc] as usize;
-        if !sh.link_faults.is_empty() {
+        let proc = self.sh.svc_proc[client_svc] as usize;
+        if !self.sh.link_faults.is_empty() {
             let dst = match msg.target {
-                CallTarget::Service { svc, .. } => sh.svc_proc[svc] as usize,
-                CallTarget::Backend { backend, .. } => sh.backend_proc[backend] as usize,
+                CallTarget::Service { svc, .. } => self.sh.svc_proc[svc] as usize,
+                CallTarget::Backend { backend, .. } => self.sh.backend_proc[backend] as usize,
             };
-            if let Some(lf) = sh.link_faults.get(&(proc, dst)).copied() {
+            if let Some(lf) = self.sh.link_faults.get(&(proc, dst)).copied() {
                 if self.now < lf.until {
                     // Loss coin: the sender's process stream.
                     let lost = lf.loss >= 1.0
                         || (lf.loss > 0.0 && self.proc_mut(proc).rng.gen::<f64>() < lf.loss);
                     if lost {
-                        self.counters.link_unreachable += 1;
+                        self.metrics.counters.link_unreachable += 1;
                         let t = self.now + msg.reply.net_ns;
                         self.push_ev(
                             t,
@@ -1055,7 +990,7 @@ impl<'a> ShardExec<'a> {
         targets: TargetsId,
         root_seq: u64,
     ) -> usize {
-        let sh = self.sh;
+        let sh = &self.sh;
         let list = sh.progs.targets(targets);
         let n = list.len();
         let mut canary_pos = None;
@@ -1077,9 +1012,12 @@ impl<'a> ShardExec<'a> {
         if eligible == 0 {
             return self.pick_replica_plain(client_id, policy, targets);
         }
+        // The client lives on a lane, disjoint from the `sh` tables `ok`
+        // reads.
+        let (h, l) = sh.client_loc[client_id as usize];
+        let client = &mut self.lanes[h as usize].clients[l as usize];
         match policy {
             LbPolicy::RoundRobin => {
-                let client = self.client_mut(client_id);
                 let start = client.rr % n;
                 client.rr = client.rr.wrapping_add(1);
                 (0..n)
@@ -1088,20 +1026,17 @@ impl<'a> ShardExec<'a> {
                     .expect("eligible > 0")
             }
             LbPolicy::Random => {
-                let j = self.client_mut(client_id).rng.gen_range(0..eligible);
+                let j = client.rng.gen_range(0..eligible);
                 (0..n).filter(|&i| ok(i)).nth(j).expect("eligible > 0")
             }
-            LbPolicy::LeastOutstanding => {
-                let client = self.client_mut(client_id);
-                client
-                    .outstanding
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, _)| ok(*i))
-                    .min_by_key(|(_, n)| **n)
-                    .map(|(i, _)| i)
-                    .expect("eligible > 0")
-            }
+            LbPolicy::LeastOutstanding => client
+                .outstanding
+                .iter()
+                .enumerate()
+                .filter(|(i, _)| ok(*i))
+                .min_by_key(|(_, n)| **n)
+                .map(|(i, _)| i)
+                .expect("eligible > 0"),
         }
     }
 
@@ -1110,11 +1045,10 @@ impl<'a> ShardExec<'a> {
     // ------------------------------------------------------------------
 
     fn on_deliver_request(&mut self, req: RequestMsg) {
-        let sh = self.sh;
         match req.target {
             CallTarget::Service { svc, method } => {
-                let proc = sh.svc_proc[svc] as usize;
-                if sh.proc_down[proc] {
+                let proc = self.sh.svc_proc[svc] as usize;
+                if self.sh.proc_down[proc] {
                     let t = self.now + req.reply.net_ns;
                     self.push_ev(
                         t,
@@ -1130,8 +1064,8 @@ impl<'a> ShardExec<'a> {
                 // A draining or out-of-rotation replica stops admitting new
                 // work: callers see the stable `drain` class and fail over.
                 // In-flight frames (admitted before the drain) still finish.
-                if sh.reconfig_on && (!sh.svc_active[svc] || sh.svc_draining[svc]) {
-                    self.counters.drain_rejections += 1;
+                if self.sh.reconfig_on && (!self.sh.svc_active[svc] || self.sh.svc_draining[svc]) {
+                    self.metrics.counters.drain_rejections += 1;
                     let t = self.now + req.reply.net_ns;
                     self.push_ev(
                         t,
@@ -1148,7 +1082,7 @@ impl<'a> ShardExec<'a> {
                 // arrival: reject before admission so no server capacity is
                 // spent on a reply nobody is waiting for.
                 if req.deadline_ns.map(|d| self.now >= d).unwrap_or(false) {
-                    self.counters.deadline_exceeded += 1;
+                    self.metrics.counters.deadline_exceeded += 1;
                     let t = self.now + req.reply.net_ns;
                     self.push_ev(
                         t,
@@ -1172,7 +1106,7 @@ impl<'a> ShardExec<'a> {
                 };
                 if let Some(p) = shed_p {
                     if self.proc_mut(proc).rng.gen::<f64>() < p {
-                        self.counters.shed_rejections += 1;
+                        self.metrics.counters.shed_rejections += 1;
                         let t = self.now + req.reply.net_ns;
                         self.push_ev(
                             t,
@@ -1191,7 +1125,7 @@ impl<'a> ShardExec<'a> {
                     (s.active >= s.max_concurrent, s.methods.get(method as usize).copied())
                 };
                 if at_capacity {
-                    self.counters.admission_rejections += 1;
+                    self.metrics.counters.admission_rejections += 1;
                     let t = self.now + req.reply.net_ns;
                     self.push_ev(
                         t,
@@ -1241,13 +1175,13 @@ impl<'a> ShardExec<'a> {
                 self.step_frame(fid);
             }
             CallTarget::Backend { backend, op } => {
-                let proc = sh.backend_proc[backend] as usize;
-                let err = if sh.proc_down[proc] {
+                let proc = self.sh.backend_proc[backend] as usize;
+                let err = if self.sh.proc_down[proc] {
                     Some(CallErr::Crash)
                 } else {
                     let b = self.backend_ref(backend);
                     if self.now < b.brownout_until && b.brownout_unavailable {
-                        self.counters.brownout_rejections += 1;
+                        self.metrics.counters.brownout_rejections += 1;
                         Some(CallErr::Brownout)
                     } else {
                         None
@@ -1267,7 +1201,7 @@ impl<'a> ShardExec<'a> {
                     return;
                 }
                 let (cpu, latency) = self.backend_cost(backend, &op);
-                let host = sh.proc_host[proc] as usize;
+                let host = self.sh.proc_host[proc] as usize;
                 self.add_job_on(host, proc, cpu, JobCont::BackendExec { req, latency_ns: latency });
             }
         }
@@ -1425,7 +1359,7 @@ impl<'a> ShardExec<'a> {
                     (capacity, backend_rt.queue.len() as u64)
                 };
                 if len >= capacity {
-                    self.counters.queue_drops += 1;
+                    self.metrics.counters.queue_drops += 1;
                     (CallOutcome::failure(CallErr::QueueFull), 0)
                 } else {
                     let entity = req.entity;
@@ -1446,8 +1380,7 @@ impl<'a> ShardExec<'a> {
 
     /// A store read under the store's consistency mode.
     fn store_read(&mut self, b: usize, key: u64, entity: u64) -> (CallOutcome, u64) {
-        let sh = self.sh;
-        let serving_proc = sh.backend_proc[b] as usize;
+        let serving_proc = self.sh.backend_proc[b] as usize;
         let (mode, read_latency_ns) = match self.backend_ref(b).kind {
             BackendRtKind::Store { consistency, read_latency_ns, .. } => {
                 (consistency, read_latency_ns)
@@ -1558,7 +1491,7 @@ impl<'a> ShardExec<'a> {
                 let backend_rt = self.backend_mut(b);
                 backend_rt.stats.reads += 1;
                 if consulted < r {
-                    self.counters.quorum_rejections += 1;
+                    self.metrics.counters.quorum_rejections += 1;
                     return (CallOutcome::failure(CallErr::Quorum), 0);
                 }
                 (CallOutcome::success(version), 0)
@@ -1572,8 +1505,7 @@ impl<'a> ShardExec<'a> {
     /// `w - 1` synchronous quorum members, whose slowest lag is returned as
     /// the acknowledgement surcharge.
     fn store_write(&mut self, b: usize, key: u64, version: u64, entity: u64) -> (CallOutcome, u64) {
-        let sh = self.sh;
-        let serving_proc = sh.backend_proc[b] as usize;
+        let serving_proc = self.sh.backend_proc[b] as usize;
         let (mode, lag_range) = match self.backend_ref(b).kind {
             BackendRtKind::Store { consistency, replication_lag_ns, .. } => {
                 (consistency, replication_lag_ns)
@@ -1600,7 +1532,7 @@ impl<'a> ShardExec<'a> {
         if sync_needed > 0 {
             let reachable = peers.iter().filter(|&&(_, proc)| serves(self, proc)).count();
             if reachable < sync_needed {
-                self.counters.quorum_rejections += 1;
+                self.metrics.counters.quorum_rejections += 1;
                 return (CallOutcome::failure(CallErr::Quorum), 0);
             }
         }
@@ -1746,9 +1678,9 @@ impl<'a> ShardExec<'a> {
             (call.client, call.chosen.take(), holds, hit)
         };
         if deadline_hit {
-            self.counters.deadline_exceeded += 1;
+            self.metrics.counters.deadline_exceeded += 1;
         } else {
-            self.counters.timeouts += 1;
+            self.metrics.counters.timeouts += 1;
             self.breaker_record(client_id, false);
         }
         let reconnect_at = {
@@ -1805,14 +1737,14 @@ impl<'a> ShardExec<'a> {
                 }
             }
             if denied {
-                self.counters.budget_denied += 1;
+                self.metrics.counters.budget_denied += 1;
                 if let Some(frame) = self.frame(fid) {
                     frame.last_err = Some(err);
                 }
                 self.fail_frame(fid);
                 return;
             }
-            self.counters.retries += 1;
+            self.metrics.counters.retries += 1;
             if let Some(frame) = self.frame(fid) {
                 if let Some(call) = &mut frame.call {
                     call.attempt = attempt + 1;
@@ -1944,7 +1876,7 @@ impl<'a> ShardExec<'a> {
             }
         }
         if opened {
-            self.counters.breaker_opens += 1;
+            self.metrics.counters.breaker_opens += 1;
         }
     }
 
@@ -1960,7 +1892,6 @@ impl<'a> ShardExec<'a> {
     }
 
     fn complete_frame(&mut self, fid: FrameId, ok: bool) {
-        let sh = self.sh;
         // Take the frame out (its slot and stack are recycled), then route
         // the result without cloning the kind.
         let Some(frame) = self.take_frame(fid) else { return };
@@ -1997,33 +1928,14 @@ impl<'a> ShardExec<'a> {
         }
         if span_owned {
             if let Some((tid, sid)) = span {
-                let now = self.now;
-                self.traces
-                    .as_mut()
-                    .expect("tracing forces sequential dispatch")
-                    .end_span(tid, sid, now, !ok);
+                self.traces.end_span(tid, sid, self.now, !ok);
             }
         }
 
         match kind {
-            FrameKind::Entry { entry, method, submitted_ns } => {
-                if ok {
-                    self.counters.completed_ok += 1;
-                } else {
-                    self.counters.completed_err += 1;
-                }
-                let completion = Completion {
-                    entry: sh.names.get(entry).to_string(),
-                    method: sh.names.get(method).to_string(),
-                    entity,
-                    root_seq,
-                    submitted_ns,
-                    finished_ns: self.now,
-                    ok,
-                    observed_version: observed,
-                    failure: if ok { None } else { Some(last_err.unwrap_or(CallErr::Downstream).label()) },
-                };
-                self.lane(fid.host as usize).completions.push(completion);
+            FrameKind::Entry(req) => {
+                let failure = (!ok).then(|| last_err.unwrap_or(CallErr::Downstream).label());
+                self.finish_entry(req, entity, root_seq, observed, failure);
             }
             FrameKind::Rpc { caller, seq, attempt, reply } => {
                 let outcome = if ok {
@@ -2034,7 +1946,7 @@ impl<'a> ShardExec<'a> {
                     CallOutcome::failure(last_err.unwrap_or(CallErr::Downstream))
                 };
                 if reply.serialize_ns > 0 {
-                    let proc = sh.svc_proc[service] as usize;
+                    let proc = self.sh.svc_proc[service] as usize;
                     self.add_proc_job(
                         proc,
                         reply.serialize_ns as f64,
@@ -2081,16 +1993,44 @@ impl<'a> ShardExec<'a> {
             }
         }
     }
-}
 
-// ----------------------------------------------------------------------
-// Control plane: fault injection and chaos. These run with `&mut Sim`
-// between epochs (and between sequential drain segments), so they may
-// freely mutate cluster-wide state (`proc_down`, `link_faults`,
-// `proc_gen`) that shard workers only read.
-// ----------------------------------------------------------------------
+    /// Records an entry request's completion at the current time and counts
+    /// it; `failure` is `None` exactly for successful requests. The one place
+    /// a [`Completion`] is built.
+    fn finish_entry(
+        &mut self,
+        req: EntryReq,
+        entity: u64,
+        root_seq: u64,
+        observed_version: u64,
+        failure: Option<&'static str>,
+    ) {
+        let ok = failure.is_none();
+        if ok {
+            self.metrics.counters.completed_ok += 1;
+        } else {
+            self.metrics.counters.completed_err += 1;
+        }
+        self.completions.push(Completion {
+            entry: self.sh.names.get(req.entry).to_string(),
+            method: self.sh.names.get(req.method).to_string(),
+            entity,
+            root_seq,
+            submitted_ns: req.submitted_ns,
+            finished_ns: self.now,
+            ok,
+            observed_version,
+            failure,
+        });
+    }
 
-impl Sim {
+    // ------------------------------------------------------------------
+    // Control plane: fault injection and chaos. These handlers run as
+    // control events (key context `CTRL_CTX`) or driver calls, and are the
+    // only writers of cluster-wide fault state (`proc_down`, `link_faults`,
+    // `proc_gen`).
+    // ------------------------------------------------------------------
+
     /// Executes a resolved fault at the current time.
     fn apply_fault(&mut self, rf: RFault) {
         self.metrics.counters.faults_injected += 1;
@@ -2123,7 +2063,7 @@ impl Sim {
             }
             RFault::Brownout { backend, dur, slow, unavailable } => {
                 let until = self.now + dur;
-                let b = self.backend_rt_mut(backend);
+                let b = self.backend_mut(backend);
                 b.brownout_until = b.brownout_until.max(until);
                 b.brownout_slow = slow;
                 b.brownout_unavailable = unavailable;
@@ -2156,7 +2096,7 @@ impl Sim {
 
         // An in-progress GC pause dies with the process; the heap restarts at
         // its base size (or empty without a GC spec).
-        if let Some(job) = self.proc_rt_mut(proc).gc_job.take() {
+        if let Some(job) = self.proc_mut(proc).gc_job.take() {
             let now = self.now;
             let lane = &mut self.lanes[host];
             lane.ps.cancel(now, job);
@@ -2164,7 +2104,7 @@ impl Sim {
         }
         {
             let base = self.sh.gc_specs[proc].as_ref().map(|g| g.base_heap_bytes).unwrap_or(0);
-            let p = self.proc_rt_mut(proc);
+            let p = self.proc_mut(proc);
             p.heap = base;
             p.in_gc = false;
         }
@@ -2228,7 +2168,7 @@ impl Sim {
             if self.sh.svc_proc[owner] as usize != proc {
                 continue;
             }
-            let c = self.client_rt_mut(ci);
+            let c = self.client_mut(ci as u32);
             c.window.clear();
             c.window_failures = 0;
             c.breaker = BreakerState::Closed;
@@ -2247,7 +2187,7 @@ impl Sim {
             if self.sh.svc_proc[s] as usize != proc {
                 continue;
             }
-            if let Some(ctl) = &mut self.svc_rt_mut(s).shed {
+            if let Some(ctl) = &mut self.svc_mut(s).shed {
                 ctl.reset();
             }
         }
@@ -2257,14 +2197,14 @@ impl Sim {
             if self.sh.backend_proc[b] as usize != proc {
                 continue;
             }
-            let rt = self.backend_rt_mut(b);
+            let rt = self.backend_mut(b);
             rt.cache.flush();
             rt.queue.clear();
         }
 
         let gen = self.sh.proc_gen[proc];
         self.push_ev(self.now + restart_ns, Ev::ProcRestart { proc, gen });
-        self.touch_host_sim(host);
+        self.touch_host(host);
         // The stopped process may have been serving an armed store.
         self.schedule_store_failovers();
     }
@@ -2275,7 +2215,7 @@ impl Sim {
         let Some(frame) = self.lanes[fid.host as usize].take_frame(fid) else { return };
         self.metrics.counters.crashed_frames += 1;
         if frame.counted_admission {
-            let s = self.svc_rt_mut(frame.service);
+            let s = self.svc_mut(frame.service);
             s.active = s.active.saturating_sub(1);
             s.done_err += 1;
         }
@@ -2285,22 +2225,12 @@ impl Sim {
             }
         }
         match frame.kind {
-            FrameKind::Entry { entry, method, submitted_ns } => {
+            FrameKind::Entry(req) => {
                 // Defensive: entry frames live on the workload shim, which a
                 // fault plan cannot target.
-                self.metrics.counters.completed_err += 1;
-                let completion = Completion {
-                    entry: self.sh.names.get(entry).to_string(),
-                    method: self.sh.names.get(method).to_string(),
-                    entity: frame.entity,
-                    root_seq: frame.root_seq,
-                    submitted_ns,
-                    finished_ns: self.now,
-                    ok: false,
-                    observed_version: frame.observed_version,
-                    failure: Some(cause.label()),
-                };
-                self.lanes[fid.host as usize].completions.push(completion);
+                let (entity, root_seq) = (frame.entity, frame.root_seq);
+                let failure = Some(cause.label());
+                self.finish_entry(req, entity, root_seq, frame.observed_version, failure);
             }
             FrameKind::Rpc { caller, seq, attempt, reply } => {
                 // No server-side serialization: the reply never forms; the
@@ -2391,7 +2321,7 @@ impl Sim {
             if !armed || pending || !self.store_failover_triggered(b) {
                 continue;
             }
-            self.backend_rt_mut(b).store.election_pending = true;
+            self.backend_mut(b).store.election_pending = true;
             let t = self.now + delay;
             self.push_ev(t, Ev::StoreFailover { backend: b, gen });
         }
@@ -2412,7 +2342,7 @@ impl Sim {
                 return;
             }
         }
-        self.backend_rt_mut(b).store.election_pending = false;
+        self.backend_mut(b).store.election_pending = false;
         // The primary recovered during the detection + election window.
         if !self.store_failover_triggered(b) {
             return;
@@ -2449,7 +2379,7 @@ impl Sim {
                 .count() as u64
         };
         let new_proc = {
-            let rt = self.backend_rt_mut(b);
+            let rt = self.backend_mut(b);
             rt.store.primary = winner;
             rt.store.gen += 1;
             rt.stats.failovers += 1;
@@ -2478,7 +2408,7 @@ impl Sim {
             if !touched {
                 continue;
             }
-            let store = &mut self.backend_rt_mut(b).store;
+            let store = &mut self.backend_mut(b).store;
             let primary = store.primary;
             let (src, applied, watermark) = {
                 let p = &store.members[primary];
@@ -2495,16 +2425,14 @@ impl Sim {
             }
         }
     }
-}
 
-// ----------------------------------------------------------------------
-// Control plane: runtime reconfiguration. Like fault injection, these
-// handlers run with `&mut Sim` between epochs (the ctrl-event slot), so
-// rotation state (`svc_active`, `svc_draining`, `canary_route`) mutates
-// only while shard workers are quiescent.
-// ----------------------------------------------------------------------
+    // ------------------------------------------------------------------
+    // Control plane: runtime reconfiguration. Like fault injection, these
+    // handlers run as control events or driver calls, and are the only
+    // writers of rotation state (`svc_active`, `svc_draining`,
+    // `canary_route`).
+    // ------------------------------------------------------------------
 
-impl Sim {
     /// Applies one runtime change immediately, as a driver action
     /// (`workload::Action::Reconfig`). The change is validated against the
     /// live topology — unknown services get nearest-match suggestions, and
@@ -2695,7 +2623,7 @@ impl Sim {
             if self.sh.client_owner[ci] as usize != svc {
                 continue;
             }
-            let c = self.client_rt_mut(ci);
+            let c = self.client_mut(ci as u32);
             c.window.clear();
             c.window_failures = 0;
             c.breaker = BreakerState::Closed;
@@ -2707,7 +2635,7 @@ impl Sim {
             }
             c.budget_tokens = 0.0;
         }
-        if let Some(ctl) = &mut self.svc_rt_mut(svc).shed {
+        if let Some(ctl) = &mut self.svc_mut(svc).shed {
             ctl.reset();
         }
     }
@@ -2822,7 +2750,7 @@ impl Sim {
             if self.sh.client_owner[ci] as usize != canary {
                 continue;
             }
-            let c = self.client_rt_mut(ci);
+            let c = self.client_mut(ci as u32);
             saved.push((ci, c.spec.clone()));
             if let Some(t) = timeout_ns {
                 c.spec.timeout_ns = Some(t);
@@ -2915,7 +2843,7 @@ impl Sim {
                 if !baseline.contains(&owner) {
                     continue;
                 }
-                let c = self.client_rt_mut(ci);
+                let c = self.client_mut(ci as u32);
                 if let Some(t) = timeout_ns {
                     c.spec.timeout_ns = Some(t);
                 }
@@ -2926,7 +2854,7 @@ impl Sim {
         } else {
             self.metrics.counters.canary_rollbacks += 1;
             for (ci, spec) in saved {
-                self.client_rt_mut(ci).spec = spec;
+                self.client_mut(ci as u32).spec = spec;
             }
         }
         self.reconfig = Some(rt);

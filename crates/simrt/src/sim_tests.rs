@@ -694,11 +694,17 @@ fn max_frames_guard_sheds_load() {
     for i in 0..5 {
         sim.submit("front", "M", i).unwrap();
     }
+    // Shedding comes before method resolution, so an unknown method is shed
+    // too, under its own name.
+    sim.submit("front", "Nope", 9).unwrap();
     sim.run_until(secs(30));
     let done = sim.drain_completions();
-    assert_eq!(done.len(), 5);
-    assert!(done.iter().filter(|c| !c.ok).count() >= 3);
-    assert!(sim.metrics.counters.admission_rejections >= 3);
+    assert_eq!(done.len(), 6);
+    assert!(done.iter().filter(|c| !c.ok).count() >= 4);
+    assert!(sim.metrics.counters.admission_rejections >= 4);
+    assert!(done
+        .iter()
+        .any(|c| c.method == "Nope" && c.failure == Some("shed")));
 }
 
 #[test]
@@ -1581,127 +1587,56 @@ fn brownout_sub_one_slow_factor_rejected_at_injection() {
     .unwrap();
 }
 
+/// FNV-1a over each completion's `Debug` rendering (the scheme
+/// `examples/stream_checksum` uses), so a pin covers every field.
+fn completions_checksum(done: &[Completion]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for c in done {
+        for &b in format!("{c:?}").as_bytes() {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    h
+}
+
 /// A storm of identical-timestamp submissions: every entry frame, fan-out
 /// child, and backend op schedules events at heavily tied times, so the
 /// completion order is decided purely by the `(time, seq)` tie-break. The
-/// full completion vector must be identical across shard counts and queue
-/// implementations.
+/// full completion vector is pinned to its checksum from before the event
+/// loop became a single wheel, so any change to key packing or tie order
+/// shows up here.
+/// [`completions_checksum`] of the tied storm below, recorded with the
+/// sharded event loop the single wheel replaced.
+const TIED_STORM_CHECKSUM: u64 = 0xf1c0_7d36_5443_ae29;
+
 #[test]
-fn tied_event_storm_is_identical_across_shards_and_queues() {
-    let storm = |shards: usize, queue: EvQueueKind| -> Vec<Completion> {
-        let spec = cache_db_spec();
-        let mut sim = Sim::new(
-            &spec,
-            SimConfig {
-                shards: Some(shards),
-                queue: Some(queue),
-                // Force threaded epochs even at tiny event counts.
-                par_epoch_min: Some(0),
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        // All 200 submissions land at t=0 with zero think time between
-        // them — maximal (time, seq) ties across the hosts.
-        for i in 0..200u64 {
-            let m = if i % 3 == 0 { "Write" } else { "Read" };
-            sim.submit("front", m, i % 7).unwrap();
-        }
-        sim.run_until(secs(30));
-        let done = sim.drain_completions();
-        assert_eq!(done.len(), 200, "every submission terminates");
-        done
-    };
-    let baseline = storm(1, EvQueueKind::Heap);
-    for (shards, queue) in [
-        (1, EvQueueKind::Wheel),
-        (3, EvQueueKind::Heap),
-        (4, EvQueueKind::Heap),
-        (4, EvQueueKind::Wheel),
-    ] {
-        let got = storm(shards, queue);
-        assert_eq!(
-            got, baseline,
-            "completion stream diverged at shards={shards} queue={queue:?}"
-        );
+fn tied_event_storm_completion_order_is_pinned() {
+    let spec = cache_db_spec();
+    let mut sim = Sim::new(&spec, SimConfig::default()).unwrap();
+    // All 200 submissions land at t=0 with zero think time between them —
+    // maximal (time, seq) ties across the hosts.
+    for i in 0..200u64 {
+        let m = if i % 3 == 0 { "Write" } else { "Read" };
+        sim.submit("front", m, i % 7).unwrap();
     }
+    sim.run_until(secs(30));
+    let done = sim.drain_completions();
+    assert_eq!(done.len(), 200, "every submission terminates");
+    assert_eq!(completions_checksum(&done), TIED_STORM_CHECKSUM);
 }
 
-// ---------------------------------------------------------------------------
-// Epoch-parallel dispatch: shard validation, degenerate lookahead, and
-// per-entity RNG streams.
-// ---------------------------------------------------------------------------
-
+/// A zero-latency cross-host link (gRPC with `net_ns: 0`) delivers in the
+/// same instant it sends: every request still terminates, with no livelock
+/// on the tied keys.
 #[test]
-fn shard_count_zero_is_rejected() {
-    let spec = single_service(Behavior::build().compute(us(10), 0).done());
-    let err = Sim::new(
-        &spec,
-        SimConfig {
-            shards: Some(0),
-            ..Default::default()
-        },
-    );
-    assert!(
-        matches!(err, Err(SimError::BadSpec(_))),
-        "shards=Some(0) must fail spec validation"
-    );
-}
-
-#[test]
-fn shard_count_above_cap_is_rejected() {
-    let spec = single_service(Behavior::build().compute(us(10), 0).done());
-    let err = Sim::new(
-        &spec,
-        SimConfig {
-            shards: Some(65),
-            ..Default::default()
-        },
-    );
-    assert!(
-        matches!(err, Err(SimError::BadSpec(_))),
-        "shards=Some(65) must fail spec validation"
-    );
-}
-
-#[test]
-fn shard_count_at_cap_is_accepted() {
-    let spec = single_service(Behavior::build().compute(us(10), 0).done());
-    let sim = Sim::new(
-        &spec,
-        SimConfig {
-            shards: Some(64),
-            ..Default::default()
-        },
-    )
-    .expect("64 is the inclusive cap");
-    // One host (plus the workload shim joined to it) → one group → the
-    // request is clamped down to sequential execution.
-    assert_eq!(sim.shard_count(), 1);
-}
-
-/// A zero-latency cross-host link admits no lookahead, so the two hosts must
-/// merge into one group and dispatch falls back to sequential — no livelock,
-/// no panic, no zero-width epochs.
-#[test]
-fn zero_latency_cross_host_link_falls_back_to_sequential() {
+fn zero_latency_cross_host_link_terminates() {
     let client = ClientSpec::over(TransportSpec::Grpc {
         serialize_ns: 5_000,
         net_ns: 0,
     });
     let spec = two_tier(Behavior::build().compute(us(50), 0).done(), client);
-    let mut sim = Sim::new(
-        &spec,
-        SimConfig {
-            shards: Some(4),
-            par_epoch_min: Some(0),
-            ..Default::default()
-        },
-    )
-    .unwrap();
-    assert_eq!(sim.host_group_count(), 1, "0 ns link must merge the hosts");
-    assert_eq!(sim.shard_count(), 1, "one group admits only one shard");
-    assert_eq!(sim.lookahead_ns(), None, "no binding crosses groups");
+    let mut sim = Sim::new(&spec, SimConfig::default()).unwrap();
     for i in 0..50 {
         sim.submit("front", "M", i).unwrap();
     }
@@ -1711,65 +1646,14 @@ fn zero_latency_cross_host_link_falls_back_to_sequential() {
     assert!(done.iter().all(|c| c.ok));
 }
 
-/// With a real network latency between the hosts, the spec splits into two
-/// groups and the epoch width equals the cross-group latency.
-#[test]
-fn positive_latency_cross_host_link_enables_parallel_shards() {
-    let client = ClientSpec::over(TransportSpec::Grpc {
-        serialize_ns: 5_000,
-        net_ns: 50_000,
-    });
-    let spec = two_tier(Behavior::build().compute(us(50), 0).done(), client);
-    let sim = Sim::new(
-        &spec,
-        SimConfig {
-            shards: Some(4),
-            ..Default::default()
-        },
-    )
-    .unwrap();
-    // The workload shim reaches `front` over a Local binding (0 ns), so it
-    // merges with host 0; `back` stays its own group across the 50 µs wire.
-    assert_eq!(sim.host_group_count(), 2);
-    assert_eq!(sim.shard_count(), 2, "requested 4, capped by 2 groups");
-    assert_eq!(sim.lookahead_ns(), Some(50_000));
-}
-
-/// The threaded epoch executor and the inline fast path (which skips the
-/// epoch bound entirely) must produce byte-identical completion streams:
-/// `par_epoch_min` is a performance knob, never a semantics knob.
-#[test]
-fn inline_fast_path_matches_threaded_epochs() {
-    let run = |par_epoch_min: Option<usize>| -> Vec<Completion> {
-        let spec = cache_db_spec();
-        let mut sim = Sim::new(
-            &spec,
-            SimConfig {
-                shards: Some(4),
-                par_epoch_min,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        for i in 0..150u64 {
-            let m = if i % 3 == 0 { "Write" } else { "Read" };
-            sim.submit("front", m, i % 11).unwrap();
-        }
-        sim.run_until(secs(30));
-        sim.drain_completions()
-    };
-    let threaded = run(Some(0));
-    let inline = run(Some(usize::MAX));
-    let default = run(None);
-    assert_eq!(threaded.len(), 150);
-    assert_eq!(threaded, inline);
-    assert_eq!(threaded, default);
-}
+// ---------------------------------------------------------------------------
+// Per-entity RNG streams.
+// ---------------------------------------------------------------------------
 
 /// Stream independence: an entity's draw sequence is a pure function of
 /// `(root_seed, domain, id)` — interleaving draws by *other* entities in any
 /// order, or adding entities, cannot perturb it. This is the property that
-/// lets shards consume randomness concurrently without a global draw order.
+/// keeps draws stable when unrelated entities or events are added.
 #[test]
 fn entity_stream_is_independent_of_interleaving() {
     let draws_for_target = |schedule: &[u64]| -> Vec<u64> {

@@ -7,15 +7,13 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use blueprint_workflow::Behavior;
 
 use crate::time::SimTime;
 use crate::{Result, SimError};
 
 /// A simulated machine.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HostSpec {
     /// Host name (unique).
     pub name: String,
@@ -24,7 +22,7 @@ pub struct HostSpec {
 }
 
 /// Garbage-collection model of a process (Go runtime flavored).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GcSpec {
     /// GOGC percentage: a collection triggers when the heap grows by this
     /// percentage over the post-collection base (Go default: 100).
@@ -48,7 +46,7 @@ impl Default for GcSpec {
 }
 
 /// A simulated OS process.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProcessSpec {
     /// Process name (unique).
     pub name: String,
@@ -60,7 +58,7 @@ pub struct ProcessSpec {
 }
 
 /// Transport used by one client binding.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum TransportSpec {
     /// Same-process function call: no serialization, no network.
     Local,
@@ -119,21 +117,10 @@ impl TransportSpec {
             net_ns: 60_000,
         }
     }
-
-    /// One-way network latency of this transport, ns. `Local` is 0: a
-    /// same-process (or co-located) call crosses no wire.
-    pub fn net_ns(&self) -> SimTime {
-        match self {
-            TransportSpec::Local => 0,
-            TransportSpec::Grpc { net_ns, .. }
-            | TransportSpec::Thrift { net_ns, .. }
-            | TransportSpec::Http { net_ns, .. } => *net_ns,
-        }
-    }
 }
 
 /// Circuit breaker configuration (paper §6.3 "Prototyping New Solutions").
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BreakerSpec {
     /// Size of the sliding outcome window (calls).
     pub window: u32,
@@ -163,7 +150,7 @@ impl Default for BreakerSpec {
 /// `min(backoff_ns * base^k, max_ns)`, scaled by a jitter factor drawn
 /// uniformly from `[1 - jitter, 1]` using the simulation's seeded RNG — so
 /// jittered schedules stay fully reproducible.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExpBackoff {
     /// Multiplicative growth per attempt (2.0 = classic doubling).
     pub base: f64,
@@ -188,7 +175,7 @@ impl Default for ExpBackoff {
 /// remaining budget minus `hop_margin_ns`, and work whose budget is
 /// exhausted fails fast as `"deadline"` instead of burning server capacity
 /// on a reply nobody is waiting for.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeadlineSpec {
     /// Fresh budget stamped when no deadline is inherited from the caller
     /// (the entry hop). `None` only propagates an inherited deadline.
@@ -229,7 +216,7 @@ impl DeadlineSpec {
 /// fraction of first attempts, drained one token per retry. Caps the
 /// client's wire amplification at `1 + ratio` by construction, regardless
 /// of the per-hop `retries` setting.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RetryBudgetSpec {
     /// Tokens deposited per first attempt (0.2 = at most 20% extra wire
     /// load from retries).
@@ -248,7 +235,7 @@ impl Default for RetryBudgetSpec {
 }
 
 /// Per-binding client policy: what the generated client wrapper stack does.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClientSpec {
     /// Transport to the callee.
     pub transport: TransportSpec,
@@ -267,12 +254,10 @@ pub struct ClientSpec {
     /// Extra client-side CPU per call, ns: tracing context injection,
     /// backend driver marshalling (redis/mongo protocol encode + syscalls).
     pub client_overhead_ns: u64,
-    /// Optional deadline propagation (absent on legacy specs: absent field
-    /// deserializes to `None`, keeping old configurations byte-identical).
-    #[serde(default)]
+    /// Optional deadline propagation (`None` keeps old configurations
+    /// byte-identical).
     pub deadline: Option<DeadlineSpec>,
     /// Optional retry budget bounding wire amplification.
-    #[serde(default)]
     pub retry_budget: Option<RetryBudgetSpec>,
 }
 
@@ -308,7 +293,7 @@ impl ClientSpec {
 }
 
 /// Load-balancing policy over replicated targets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum LbPolicy {
     /// Round-robin across replicas.
     #[default]
@@ -321,7 +306,7 @@ pub enum LbPolicy {
 }
 
 /// How a declared dependency is bound at runtime.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum DepBinding {
     /// A single service instance.
     Service {
@@ -363,7 +348,7 @@ impl DepBinding {
 /// of request sojourn delay (arrival → completion) and probabilistically
 /// rejects arrivals as `"shed"` when the sustained delay exceeds a target,
 /// replacing the blunt `max_concurrent` cliff with graceful degradation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ShedSpec {
     /// Sojourn-delay target, ns. Delay above this raises the shed
     /// probability; delay below it lowers it.
@@ -390,7 +375,7 @@ impl Default for ShedSpec {
 }
 
 /// A simulated service instance.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServiceSpec {
     /// Instance name (unique).
     pub name: String,
@@ -407,8 +392,7 @@ pub struct ServiceSpec {
     /// the given per-span CPU overhead (ns).
     pub trace_overhead_ns: Option<u64>,
     /// Optional adaptive admission controller; `None` keeps the plain
-    /// `max_concurrent` fast-fail (absent field deserializes to `None`).
-    #[serde(default)]
+    /// `max_concurrent` fast-fail.
     pub shed: Option<ShedSpec>,
 }
 
@@ -435,7 +419,7 @@ impl ServiceSpec {
 /// latency or availability for guarantees; the consistency oracle
 /// (`workload::oracle`) measures exactly which anomaly classes each mode
 /// eliminates.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum ConsistencyMode {
     /// Reads are served by the current primary: no stale reads while the
     /// primary is healthy, but replicas carry no read traffic.
@@ -479,14 +463,14 @@ impl ConsistencyMode {
 /// Absent (`None`), replicas are plain lag-modeled state inside the
 /// store's own process and the store is unavailable while that process is
 /// down — the historical behavior. Present, each replica lives in its own
-/// peer process on the *same host* (the store's state stays on one
-/// simulation lane, which is what keeps epoch-parallel runs deterministic),
+/// peer process on the *same host* (the store's state stays on one host
+/// lane; promotion re-points the serving process without migrating it),
 /// and when the primary's process crashes or is partitioned from every
 /// peer, the most-caught-up reachable replica promotes after
 /// `detection_ns + election_ns`. Writes the old primary acknowledged but
 /// never replicated are rolled back — *lost* — exactly as in async-
 /// replicated production stores.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FailoverSpec {
     /// One process index per replica (same host as the store's process).
     pub replica_processes: Vec<usize>,
@@ -497,7 +481,7 @@ pub struct FailoverSpec {
 }
 
 /// Backend runtime flavors.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum BackendRtKind {
     /// Key-value cache with a bounded key set.
     Cache {
@@ -525,13 +509,10 @@ pub enum BackendRtKind {
         /// Replication lag range `[min, max]` ns, uniformly sampled per write
         /// per replica.
         replication_lag_ns: (SimTime, SimTime),
-        /// Read/write discipline (absent field deserializes to the
-        /// historical `ReadReplica`).
-        #[serde(default)]
+        /// Read/write discipline (historically always `ReadReplica`).
         consistency: ConsistencyMode,
         /// Failover policy; `None` keeps replicas inside the store's own
         /// process with no promotion (historical behavior).
-        #[serde(default)]
         failover: Option<FailoverSpec>,
     },
     /// FIFO message queue.
@@ -544,7 +525,7 @@ pub enum BackendRtKind {
 }
 
 /// A simulated backend instance.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BackendSpec {
     /// Instance name (unique).
     pub name: String,
@@ -555,7 +536,7 @@ pub struct BackendSpec {
 }
 
 /// An externally callable API endpoint.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EntrySpec {
     /// Index into [`SystemSpec::services`].
     pub service: usize,
@@ -571,7 +552,7 @@ pub struct EntrySpec {
 /// end. In-flight work affected by a fault fails *fast* with a classified
 /// error — nothing hangs — which is what keeps the request-conservation
 /// invariant checkable (every submitted request terminates exactly once).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Fault {
     /// Kill a process; every in-flight request inside it fails with
     /// `"crash"`, connection pools and the GC heap reset cold, and the
@@ -643,7 +624,7 @@ impl Fault {
 /// A seeded chaos process: faults drawn from a menu at exponentially
 /// distributed intervals. Its RNG is independent of the simulation's main
 /// RNG, so enabling chaos perturbs nothing else.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChaosSpec {
     /// Seed of the chaos RNG (`BLUEPRINT` docs call this the chaos seed).
     pub seed: u64,
@@ -660,7 +641,7 @@ pub struct ChaosSpec {
 /// A schedule of faults to inject into a run ([`crate::sim::SimConfig`]
 /// carries one). Empty plans add *zero* events and RNG draws — the
 /// no-fault completion stream is byte-identical with or without the engine.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct FaultPlan {
     /// `(time, fault)` pairs, injected in the given order at equal times.
     pub scheduled: Vec<(SimTime, Fault)>,
@@ -696,7 +677,7 @@ impl FaultPlan {
 /// indices at boot). Changes address a *service group*: the base instance
 /// name plus the `_rN` clones the `Replicate` transform stamps out (so
 /// `"api"` covers `api`, `api_r1`, `api_r2`, …).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Change {
     /// Rolling deploy over a service group: drain one replica at a time
     /// (stop admitting new work, let in-flight requests finish or hit their
@@ -779,7 +760,7 @@ impl Change {
 /// respecting a cooldown between actions. All of its draws come from the
 /// dedicated `DOMAIN_AUTOSCALER` RNG stream, so enabling it perturbs no
 /// other stream.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AutoscalerSpec {
     /// Service group base name.
     pub service: String,
@@ -809,7 +790,7 @@ pub struct AutoscalerSpec {
 /// one). Like [`FaultPlan`], an empty plan adds *zero* events and RNG
 /// draws — the no-reconfig completion stream is byte-identical with or
 /// without the engine.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ReconfigPlan {
     /// `(time, change)` pairs, applied in the given order at equal times.
     pub scheduled: Vec<(SimTime, Change)>,
@@ -842,7 +823,7 @@ impl ReconfigPlan {
 }
 
 /// The full description of a simulated deployment.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct SystemSpec {
     /// Application/variant name.
     pub name: String,
@@ -1065,11 +1046,9 @@ impl SystemSpec {
                                 b.name, self.processes[p].name
                             )));
                         }
-                        // Same-host is a determinism constraint, not a
-                        // convenience: the store's state lives on one
-                        // simulation lane, and promotion re-points the
-                        // serving process without migrating state across
-                        // epoch-parallel shards.
+                        // Same-host keeps the store's state on one host
+                        // lane: promotion re-points the serving process
+                        // without migrating that state.
                         if self.processes[p].host != home {
                             return Err(SimError::BadSpec(format!(
                                 "store {} failover replica process {} is on host \
@@ -1449,125 +1428,6 @@ fn edit_distance(a: &str, b: &str) -> usize {
         std::mem::swap(&mut prev, &mut cur);
     }
     prev[b.len()]
-}
-
-// ----------------------------------------------------------------------
-// Host grouping and conservative lookahead.
-// ----------------------------------------------------------------------
-
-/// The host-communication structure of a spec, used by the simulator to
-/// decide how far apart hosts can execute without seeing each other's
-/// events (the conservative-parallel lookahead).
-///
-/// Hosts joined by any *zero-latency* cross-host binding (a `Local`
-/// transport or a 0 ns network) are merged into one group: their
-/// interactions admit no lookahead, so they must execute on the same
-/// shard. The lookahead is then the minimum one-way network latency over
-/// bindings that cross group boundaries — every cross-group event arrives
-/// at least that far in the future, which is exactly the window a shard
-/// may run ahead of the others.
-#[derive(Debug, Clone)]
-pub(crate) struct HostGroups {
-    /// Host index → dense group id (numbered by first-seen host).
-    pub(crate) group_of: Vec<usize>,
-    /// Number of distinct groups.
-    pub(crate) n_groups: usize,
-    /// Minimum one-way latency over cross-group bindings; `None` when no
-    /// binding crosses groups (single group, or fully host-local wiring).
-    pub(crate) lookahead: Option<SimTime>,
-}
-
-/// Computes [`HostGroups`] for a spec. Call on the *augmented* spec (with
-/// workload shims attached) so entry-point client bindings participate.
-pub(crate) fn host_groups(spec: &SystemSpec) -> HostGroups {
-    let n_hosts = spec.hosts.len();
-    let mut parent: Vec<usize> = (0..n_hosts).collect();
-    fn find(parent: &mut [usize], mut x: usize) -> usize {
-        while parent[x] != x {
-            parent[x] = parent[parent[x]]; // path halving
-            x = parent[x];
-        }
-        x
-    }
-
-    // Collect every (src_host, dst_host, net_ns) binding edge once, then
-    // union the zero-latency cross-host pairs.
-    let mut edges: Vec<(usize, usize, SimTime)> = Vec::new();
-    for s in &spec.services {
-        let src = spec.processes[s.process].host;
-        for dep in s.deps.values() {
-            let net = dep.client().transport.net_ns();
-            match dep {
-                DepBinding::Service { target, .. } => {
-                    edges.push((
-                        src,
-                        spec.processes[spec.services[*target].process].host,
-                        net,
-                    ));
-                }
-                DepBinding::ReplicatedService { targets, .. } => {
-                    for t in targets {
-                        edges.push((src, spec.processes[spec.services[*t].process].host, net));
-                    }
-                }
-                DepBinding::Backend { target, .. } => {
-                    edges.push((
-                        src,
-                        spec.processes[spec.backends[*target].process].host,
-                        net,
-                    ));
-                }
-            }
-        }
-    }
-    for &(a, b, net) in &edges {
-        if a != b && net == 0 {
-            let (ra, rb) = (find(&mut parent, a), find(&mut parent, b));
-            if ra != rb {
-                parent[ra] = rb;
-            }
-        }
-    }
-
-    // Dense group ids in first-seen host order (deterministic).
-    let mut root_group = vec![usize::MAX; n_hosts];
-    let mut group_of = vec![0usize; n_hosts];
-    let mut n_groups = 0usize;
-    for (h, g) in group_of.iter_mut().enumerate() {
-        let r = find(&mut parent, h);
-        if root_group[r] == usize::MAX {
-            root_group[r] = n_groups;
-            n_groups += 1;
-        }
-        *g = root_group[r];
-    }
-
-    // Lookahead: min latency over edges that still cross groups. Zero-ns
-    // edges never cross (their endpoints were merged above), so the
-    // minimum here is strictly positive when present.
-    let mut lookahead: Option<SimTime> = None;
-    for &(a, b, net) in &edges {
-        if group_of[a] != group_of[b] {
-            debug_assert!(net > 0, "zero-latency edge survived grouping");
-            lookahead = Some(lookahead.map_or(net, |cur| cur.min(net)));
-        }
-    }
-    HostGroups {
-        group_of,
-        n_groups,
-        lookahead,
-    }
-}
-
-impl SystemSpec {
-    /// The conservative-parallel lookahead of this spec, ns: the minimum
-    /// one-way network latency between host groups that can execute
-    /// concurrently. `None` means the deployment collapses to one group
-    /// (everything effectively co-located) and only sequential execution
-    /// is possible. See [`crate::sim::SimConfig::shards`].
-    pub fn lookahead_ns(&self) -> Option<SimTime> {
-        host_groups(self).lookahead
-    }
 }
 
 #[cfg(test)]

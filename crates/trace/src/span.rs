@@ -1,17 +1,15 @@
 //! Spans, traces, and structural signatures.
 
-use serde::{Deserialize, Serialize};
-
 /// Identifies a trace (one end-to-end request).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TraceId(pub u64);
 
 /// Identifies a span within a trace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SpanId(pub u32);
 
 /// One operation within a trace (a service method execution, a backend call).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Span {
     /// Span id, unique within the trace.
     pub id: SpanId,
@@ -42,7 +40,7 @@ impl Span {
 }
 
 /// A complete trace: all spans of one request.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Trace {
     /// Trace id.
     pub id: TraceId,

@@ -2,12 +2,10 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use serde::{Deserialize, Serialize};
-
 use crate::{Result, WiringError};
 
 /// An argument in a wiring declaration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Arg {
     /// Reference to another wiring instance by name.
     Ref(String),
@@ -73,7 +71,7 @@ impl Arg {
 }
 
 /// One wiring declaration: `name = Callee(args, kw=..)[.with_server([mods])]`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InstanceDecl {
     /// Instance name (left-hand side).
     pub name: String,
@@ -109,7 +107,7 @@ impl InstanceDecl {
 ///
 /// Order matters: references must be declared before use, mirroring the
 /// straight-line style of the paper's wiring files.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct WiringSpec {
     /// Application name.
     pub app_name: String,

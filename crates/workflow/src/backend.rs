@@ -6,14 +6,12 @@
 //! `extended` cache interface reproduces the §6.6 cost-of-abstraction study
 //! (specialized Redis array operations).
 
-use serde::{Deserialize, Serialize};
-
 use blueprint_ir::types::{MethodSig, Param, TypeRef};
 
 use crate::interface::ServiceInterface;
 
 /// The kinds of backend Blueprint ships interfaces for (paper Tab. 2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum BackendKind {
     /// Key-value cache (memcached, Redis).
     Cache,

@@ -6,15 +6,13 @@
 //! to a concrete instance happens in the wiring spec, preserving Blueprint's
 //! separation of concerns.
 
-use serde::{Deserialize, Serialize};
-
 /// How a step derives the key it operates on.
 ///
 /// Requests in the simulation carry an `entity` id (e.g. the user or post the
 /// request concerns) drawn by the workload generator; key expressions map that
 /// id onto backend keys so that experiments about *actual data* (cache
 /// flushes, replication lag) behave mechanistically rather than statistically.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum KeyExpr {
     /// The request's entity id itself.
     Entity,
@@ -27,7 +25,7 @@ pub enum KeyExpr {
 }
 
 /// A cache operation flavor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CacheOp {
     /// Single-key read.
     Get,
@@ -49,7 +47,7 @@ pub enum CacheOp {
 }
 
 /// A database operation flavor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DbOp {
     /// Point read.
     Read,
@@ -63,7 +61,7 @@ pub enum DbOp {
 }
 
 /// One step of a behavior program.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Step {
     /// Burn CPU for `cpu_ns` nanoseconds and allocate `alloc_bytes` on the
     /// heap (feeds the GC model).
@@ -147,7 +145,7 @@ pub enum Step {
 }
 
 /// A method body: an ordered list of steps.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Behavior {
     /// Ordered steps.
     pub steps: Vec<Step>,

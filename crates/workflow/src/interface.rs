@@ -1,7 +1,5 @@
 //! Service interfaces: named sets of typed methods (paper Fig. 1).
 
-use serde::{Deserialize, Serialize};
-
 use blueprint_ir::types::{snake_case, MethodSig};
 
 /// A service interface declared in a workflow spec.
@@ -9,7 +7,7 @@ use blueprint_ir::types::{snake_case, MethodSig};
 /// The interface is the unit the compiler works with: RPC plugins generate
 /// IDL and wrapper classes from it, tracing plugins wrap each method, and IR
 /// edges carry subsets of its methods.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServiceInterface {
     /// Interface name, e.g. `"ComposePostService"`.
     pub name: String,

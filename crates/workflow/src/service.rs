@@ -2,15 +2,13 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::backend::BackendKind;
 use crate::behavior::Behavior;
 use crate::interface::ServiceInterface;
 use crate::{Result, WorkflowError};
 
 /// What kind of thing a declared dependency is.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DepKind {
     /// Another workflow service, identified by its *interface* name; the
     /// wiring spec later binds the dependency to a concrete instance.
@@ -34,7 +32,7 @@ impl DepKind {
 }
 
 /// A constructor-injected dependency declaration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DepDecl {
     /// Local name the behavior programs use, e.g. `"post_db"`.
     pub name: String,
@@ -48,7 +46,7 @@ pub struct DepDecl {
 /// Mirrors Fig. 1 of the paper: the implementation never instantiates its
 /// dependencies (they are constructor parameters) and never references
 /// scaffolding or instantiations.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServiceImpl {
     /// Implementation name, e.g. `"ComposePostServiceImpl"`.
     pub name: String,

@@ -2,14 +2,12 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::service::{DepKind, ServiceImpl};
 use crate::{Result, WorkflowError};
 
 /// A complete workflow spec: the application-level half of a Blueprint
 /// application (the other half being the wiring spec).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct WorkflowSpec {
     /// Application name.
     pub name: String,

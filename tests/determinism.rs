@@ -6,25 +6,13 @@
 
 use blueprint::apps::{hotel_reservation as hr, WiringOpts};
 use blueprint::core::Blueprint;
-use blueprint::simrt::{Completion, EvQueueKind, SimConfig};
+use blueprint::simrt::{Completion, SimConfig};
 use blueprint::workload::generator::OpenLoopGen;
 use blueprint::workload::generator::Phase;
 
 /// Runs HotelReservation for `secs` seconds at `rps` with the given seed and
 /// returns the full completion stream in emission order.
 fn completion_stream(seed: u64, secs: u64, rps: f64) -> Vec<Completion> {
-    completion_stream_with(seed, secs, rps, 1, None)
-}
-
-/// As [`completion_stream`], pinning the event-queue sharding and
-/// implementation instead of taking them from the environment.
-fn completion_stream_with(
-    seed: u64,
-    secs: u64,
-    rps: f64,
-    shards: usize,
-    queue: Option<EvQueueKind>,
-) -> Vec<Completion> {
     let app = Blueprint::new()
         .without_artifacts()
         .compile(&hr::workflow(), &hr::wiring(&WiringOpts::default()))
@@ -32,12 +20,6 @@ fn completion_stream_with(
     let mut sim = app
         .simulation_with(SimConfig {
             seed,
-            shards: Some(shards),
-            queue,
-            // Force the epoch-parallel executor (scoped worker threads) even
-            // at the small event counts of a test run, so this test compares
-            // genuinely threaded dispatch against the sequential baseline.
-            par_epoch_min: Some(0),
             ..Default::default()
         })
         .expect("sim boots");
@@ -72,34 +54,29 @@ fn same_seed_identical_completion_streams() {
     }
 }
 
-/// A single run sharded over N event queues must emit a byte-identical
-/// completion stream to the sequential run — the cross-shard exchange
-/// merges by `(time, seq)`, so shard count (and queue implementation) can
-/// never reach the results. This is the in-run analogue of `par_run`'s
-/// index-ordered merge guarantee.
-#[test]
-fn sharded_single_run_matches_sequential() {
-    let baseline = completion_stream_with(77, 1, 500.0, 1, Some(EvQueueKind::Heap));
-    assert!(!baseline.is_empty(), "workload produced no completions");
-    for (shards, queue) in [
-        (1, EvQueueKind::Wheel),
-        (2, EvQueueKind::Heap),
-        (4, EvQueueKind::Heap),
-        (4, EvQueueKind::Wheel),
-    ] {
-        let got = completion_stream_with(77, 1, 500.0, shards, Some(queue));
-        assert_eq!(
-            got.len(),
-            baseline.len(),
-            "count diverges at shards={shards} queue={queue:?}"
-        );
-        for (i, (x, y)) in got.iter().zip(&baseline).enumerate() {
-            assert_eq!(
-                x, y,
-                "completion #{i} diverges at shards={shards} queue={queue:?}"
-            );
+/// FNV-1a over each completion's `Debug` rendering, the scheme
+/// `examples/stream_checksum` uses.
+fn checksum(stream: &[Completion]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for c in stream {
+        for &b in format!("{c:?}").as_bytes() {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x0100_0000_01b3);
         }
     }
+    h
+}
+
+/// A second run with the same seed repeats the first byte for byte, and both
+/// match the checksum recorded with the sharded event loop that the single
+/// timing wheel replaced — so the engine's event order, not just its
+/// self-consistency, is pinned.
+#[test]
+fn repeated_run_matches_pinned_checksum() {
+    let first = completion_stream(77, 1, 500.0);
+    assert!(!first.is_empty(), "workload produced no completions");
+    assert_eq!(completion_stream(77, 1, 500.0), first, "same seed diverged");
+    assert_eq!(checksum(&first), 0x2928_f300_7b82_7af1);
 }
 
 #[test]
