@@ -39,48 +39,48 @@ mkdir -p results
 cargo bench -p blueprint-bench --bench par_sweep -- --test \
     | tee results/ci_par_sweep.txt
 
-# Runs one scenario-matrix exhibit at BLUEPRINT_THREADS=1 and =4 (the
-# par_run worker count), requires the two reports to be byte-identical, and
-# keeps the report as results/<ci file>. Each binary panics on its own
-# invariant violations.
-# Usage: exhibit <bin> <report file> <ci file> [bin args...]
-exhibit() {
-    bin=$1 report=results/$2 kept=results/$3
-    shift 3
-    echo "==> $bin smoke (BLUEPRINT_THREADS=1 vs =4)"
-    BLUEPRINT_THREADS=1 cargo run --release -p blueprint-bench --bin "$bin" -- "$@"
-    mv "$report" "$kept"
-    BLUEPRINT_THREADS=4 cargo run --release -p blueprint-bench --bin "$bin" -- "$@"
-    cmp "$kept" "$report"
-    mv "$report" "$kept"
-}
-
-# Fault matrix (2 cells): conservation and amplification invariants.
-exhibit ablation_faults fault_matrix.txt ci_fault_matrix.txt --quick --smoke
-# Miniature Type-1 metastability with and without a retry budget:
-# conservation, and the 1 + ratio amplification bound on budget arms.
-exhibit ablation_overload overload_matrix.txt ci_overload.txt --smoke
-# Rolling deploys, the autoscaler, and canaries under a flash crowd:
-# conservation, no unavailability on drained deploys, and the autoscaler
-# absorbing the ramp the fixed-replica arm does not.
-exhibit ablation_reconfig reconfig_matrix.txt ci_reconfig.txt --smoke
-# Consistency arms x disturbances through the anomaly oracle: quorum w=2
-# shows no anomaly, session keeps read-your-writes, and the crash scenario
-# loses writes under async replication.
-exhibit ablation_consistency consistency_matrix.txt ci_consistency.txt --smoke
-
 echo "==> lint gate (every app's default wiring must be deny-clean)"
 # Runs the static-analysis passes over the five benchmark apps and writes
 # per-app counts to results/ci_lint.txt; exits nonzero on any deny-severity
 # diagnostic.
 cargo run --release -p blueprint-bench --bin lint_gate
 
+# Each exhibit below runs at BLUEPRINT_THREADS=1 (the par_run worker count),
+# writing its report to results/<ci file>, then at =4 into a temp file; the
+# two reports must be byte-identical. The committed results/<report>.txt
+# files are never touched. Each binary panics on its own invariant
+# violations. $args is left unquoted on purpose: it is a word list.
+while read -r bin ci args; do
+    case $bin in '' | '#'*) continue ;; esac
+    echo "==> $bin smoke (BLUEPRINT_THREADS=1 vs =4)"
+    BLUEPRINT_THREADS=1 cargo run --release -p blueprint-bench --bin "$bin" -- \
+        --out "results/$ci" $args </dev/null
+    tmp=$(mktemp)
+    BLUEPRINT_THREADS=4 cargo run --release -p blueprint-bench --bin "$bin" -- \
+        --out "$tmp" $args </dev/null
+    cmp "results/$ci" "$tmp"
+    rm -f "$tmp"
+done <<'EXHIBITS'
+# Fault matrix (2 cells): conservation and amplification invariants.
+ablation_faults       ci_fault_matrix.txt     --quick --smoke
+# Miniature Type-1 metastability with and without a retry budget:
+# conservation, and the 1 + ratio amplification bound on budget arms.
+ablation_overload     ci_overload.txt         --smoke
+# Rolling deploys, the autoscaler, and canaries under a flash crowd:
+# conservation, no unavailability on drained deploys, and the autoscaler
+# absorbing the ramp the fixed-replica arm does not.
+ablation_reconfig     ci_reconfig.txt         --smoke
+# Consistency arms x disturbances through the anomaly oracle: quorum w=2
+# shows no anomaly, session keeps read-your-writes, and the crash scenario
+# loses writes under async replication.
+ablation_consistency  ci_consistency.txt      --smoke
 # The static hazard predictions must bracket the dynamic fault-matrix
 # outcomes.
-exhibit lint_validation lint_validation.txt ci_lint_validation.txt --smoke
+lint_validation       ci_lint_validation.txt  --smoke
 # The analytic BP013-BP015 capacity bracket must contain each app's
 # simulated saturation knee.
-exhibit capacity_validation capacity_validation.txt ci_capacity.txt --smoke
+capacity_validation   ci_capacity.txt         --smoke
+EXHIBITS
 
 echo "==> completion-stream identity check"
 # With no fault plan and no reconfig plan the completion stream must be

@@ -14,10 +14,10 @@ use blueprint_core::Blueprint;
 use blueprint_simrt::time::{ms, secs, SimTime};
 use blueprint_simrt::{Change, Completion, Fault, ReconfigPlan, Sim, SimConfig, SystemSpec};
 use blueprint_workload::resilience::{
-    run_consistency_matrix, ConsistencyProbe, ConsistencyScenario, ResilienceConfig,
+    run_consistency_cell, run_matrix, ConsistencyProbe, ResilienceConfig, Scenario, Trigger,
 };
 use blueprint_workload::{
-    par_run, Action, ApiMix, ExperimentSpec, OpenLoopGen, OracleSpec, Phase, Threads,
+    par_run, ApiMix, ExperimentSpec, OpenLoopGen, OracleSpec, Phase, Threads,
 };
 
 const ENTITIES: u64 = 100;
@@ -47,27 +47,28 @@ fn primary_process(system: &SystemSpec) -> String {
 
 /// Replica partition at 1s (healed at 2s), primary crash at 2s — mid
 /// rolling restart — and both user-timeline replicas drained and restarted.
-fn combined(system: &SystemSpec) -> ConsistencyScenario {
+fn combined(system: &SystemSpec) -> Scenario {
     let primary = primary_process(system);
-    let mut s = ConsistencyScenario::faults(
+    let mut s = Scenario::new(
         "partition+crash+rolling",
         vec![
             (
                 secs(1),
-                Fault::Partition {
+                Trigger::Fault(Fault::Partition {
                     a: primary.clone(),
                     b: "ut_db_replica_0".to_string(),
                     duration_ns: secs(1),
-                },
+                }),
             ),
             (
                 secs(2),
-                Fault::ProcessCrash {
+                Trigger::Fault(Fault::ProcessCrash {
                     process: primary,
                     restart_delay_ns: secs(10),
-                },
+                }),
             ),
         ],
+        (0, 0),
     );
     s.plan = ReconfigPlan::none()
         .at(
@@ -102,7 +103,7 @@ fn mix() -> ApiMix {
 /// process).
 fn run_full(
     system: &SystemSpec,
-    scenario: &ConsistencyScenario,
+    scenario: &Scenario,
     seed: u64,
 ) -> Result<(Vec<Completion>, u64, String), blueprint_simrt::SimError> {
     let mut sim = Sim::new(
@@ -116,8 +117,8 @@ fn run_full(
     sim.store_fill("ut_db", ENTITIES, 1)?;
     let gen = OpenLoopGen::new(vec![Phase::new(DURATION_S, 250.0)], mix(), ENTITIES, seed);
     let mut exp = ExperimentSpec::new(gen).drain(secs(2));
-    for (t, fault) in &scenario.faults {
-        exp = exp.at(*t, Action::Fault(fault.clone()));
+    for (t, trigger) in &scenario.schedule {
+        exp = exp.at(*t, trigger.to_action());
     }
     let (_, mut completions) = blueprint_workload::run_experiment_collecting(&mut sim, exp)?;
     // Settle so in-flight replication and the election have finished.
@@ -199,18 +200,14 @@ fn combined_plan_cell_reports_identical_across_thread_counts() {
             prefill_stores: vec![("ut_db".to_string(), ENTITIES)],
             ..Default::default()
         };
-        let seq = run_consistency_matrix(
-            &variants,
-            &scenarios,
-            &mix(),
-            &probe,
-            &cfg,
-            Threads::sequential(),
-        )
-        .expect("sequential matrix");
+        let mix = mix();
+        let cell = |name: &str, system: &SystemSpec, s: &Scenario| {
+            run_consistency_cell(system, &mix, &probe, name, s, &cfg)
+        };
+        let seq = run_matrix(&variants, &scenarios, Threads::sequential(), cell)
+            .expect("sequential matrix");
         let par =
-            run_consistency_matrix(&variants, &scenarios, &mix(), &probe, &cfg, Threads::new(4))
-                .expect("parallel matrix");
+            run_matrix(&variants, &scenarios, Threads::new(4), cell).expect("parallel matrix");
         assert_eq!(seq, par, "[seed {seed}] cell reports diverge");
         for c in &seq {
             assert!(

@@ -1,5 +1,5 @@
 //! Consistency-mode ablation: the replicated-store fault-tolerance matrix
-//! (`results/consistency_matrix.txt`).
+//! (`results/consistency_matrix.txt`, or `--out <path>`).
 //!
 //! The replicated SocialNetwork (direct-timeline variant: reads and writes
 //! go straight to the 2-replica `ut_db`, 40–250 ms asynchronous replication
@@ -26,18 +26,16 @@
 //! `BLUEPRINT_THREADS` settings (ci.sh compares `=1` vs `=4` in `--smoke`
 //! mode).
 
-use std::io::Write as _;
-
 use blueprint_apps::{social_network as sn, WiringOpts};
-use blueprint_bench::report;
+use blueprint_bench::{report, Args};
 use blueprint_core::Blueprint;
 use blueprint_simrt::time::{ms, secs, SimTime};
 use blueprint_simrt::{Change, Fault, ReconfigPlan, SystemSpec};
 use blueprint_workload::generator::ApiMix;
 use blueprint_workload::parallel::Threads;
 use blueprint_workload::resilience::{
-    run_consistency_matrix, ConsistencyCellReport, ConsistencyProbe, ConsistencyScenario,
-    ResilienceConfig,
+    run_consistency_cell, run_matrix, ConsistencyCellReport, ConsistencyProbe, ResilienceConfig,
+    Scenario, Trigger,
 };
 use blueprint_workload::OracleSpec;
 
@@ -84,40 +82,43 @@ fn primary_process(system: &SystemSpec) -> String {
     system.processes[b.process].name.clone()
 }
 
-fn scenarios(system: &SystemSpec, duration_s: u64) -> Vec<ConsistencyScenario> {
+/// The disturbances. The consistency oracle judges anomalies, not
+/// unavailability, so no scenario needs a window.
+fn scenarios(system: &SystemSpec, duration_s: u64) -> Vec<Scenario> {
     let primary = primary_process(system);
     vec![
-        ConsistencyScenario::baseline(),
+        Scenario::baseline(),
         // Crash the primary late in the traffic window: writes acked inside
         // the replication-lag window right before the crash have nowhere to
         // go on the unguarded arm — they are lost, and the audit proves it.
-        ConsistencyScenario::faults(
+        Scenario::new(
             "primary crash",
             vec![(
                 secs(duration_s) - ms(200),
-                Fault::ProcessCrash {
+                Trigger::Fault(Fault::ProcessCrash {
                     process: primary.clone(),
                     restart_delay_ns: secs(10),
-                },
+                }),
             )],
+            (0, 0),
         ),
         // Fully cut one replica's replication link mid-traffic; the store
         // must route reads around it and catch it up at heal time.
-        ConsistencyScenario::faults(
+        Scenario::new(
             "replica partition",
             vec![(
                 secs(1),
-                Fault::Partition {
+                Trigger::Fault(Fault::Partition {
                     a: primary,
                     b: "ut_db_replica_0".to_string(),
                     duration_ns: secs(2),
-                },
+                }),
             )],
+            (0, 0),
         ),
         // PR 8's runtime-change machinery as a consistency disturbance:
         // drain-and-restart each user-timeline replica in turn.
-        ConsistencyScenario::reconfig(
-            "rolling restart",
+        Scenario::new("rolling restart", Vec::new(), (0, 0)).with_plan(
             ReconfigPlan::none()
                 .at(
                     secs(1),
@@ -165,8 +166,8 @@ fn row(c: &ConsistencyCellReport) -> Vec<String> {
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let duration_s = if smoke { 4 } else { 8 };
+    let args = Args::parse("results/consistency_matrix.txt");
+    let duration_s = if args.smoke { 4 } else { 8 };
     let cfg = ResilienceConfig {
         rps: 300.0,
         duration_s,
@@ -187,13 +188,11 @@ fn main() {
             .add("gateway", "ReadUserTimeline", 0.8);
     let variants = arms();
     let scenarios = scenarios(&variants[0].1, duration_s);
-    let cells = run_consistency_matrix(
+    let cells = run_matrix(
         &variants,
         &scenarios,
-        &mix,
-        &probe,
-        &cfg,
         Threads::from_env(),
+        |name, system, s| run_consistency_cell(system, &mix, &probe, name, s, &cfg),
     )
     .expect("consistency matrix runs");
 
@@ -266,9 +265,7 @@ fn main() {
         redirects,
     ));
     print!("{out}");
-    std::fs::create_dir_all("results").expect("results dir");
-    let mut f = std::fs::File::create("results/consistency_matrix.txt").expect("results file");
-    f.write_all(out.as_bytes()).expect("write report");
+    report::save(&args.out, &out);
 
     // Every cell conserves requests and audits every entity, through every
     // crash, partition, election, and rolling restart.

@@ -13,29 +13,24 @@
 //! * **retry amplification** — the retry-only arm shows the wire-level
 //!   amplification hazard; the breaker arms suppress it.
 //!
-//! Output goes to stdout and `results/fault_matrix.txt`. `--quick` shortens
-//! the runs; `--smoke` limits the matrix to 2 cells (the CI smoke, which
-//! compares `BLUEPRINT_THREADS=1` vs `=4` byte-for-byte).
-
-use std::io::Write as _;
+//! Output goes to stdout and `results/fault_matrix.txt` (or `--out
+//! <path>`). `--quick` shortens the runs; `--smoke` limits the matrix to 2
+//! cells (the CI smoke, which compares `BLUEPRINT_THREADS=1` vs `=4`
+//! byte-for-byte).
 
 use blueprint_apps::{hotel_reservation as hr, WiringOpts};
-use blueprint_bench::{report, Mode};
-use blueprint_core::Blueprint;
+use blueprint_bench::{figures, report, Args};
 use blueprint_simrt::time::secs;
 use blueprint_simrt::{Fault, SystemSpec};
 use blueprint_wiring::{mutate, Arg, WiringSpec};
 use blueprint_workload::parallel::Threads;
-use blueprint_workload::resilience::{run_matrix, CellReport, FaultScenario, ResilienceConfig};
+use blueprint_workload::resilience::{
+    run_cell, run_matrix, CellReport, ResilienceConfig, Scenario, Trigger,
+};
 
 /// Compiles one mitigation arm of the hotel app.
 fn compile(wiring: &WiringSpec) -> SystemSpec {
-    Blueprint::new()
-        .without_artifacts()
-        .compile(&hr::workflow(), wiring)
-        .expect("hotel variant compiles")
-        .system()
-        .clone()
+    figures::compile(&hr::workflow(), wiring).system().clone()
 }
 
 /// The four mitigation arms, each a wiring mutation away from the last.
@@ -113,51 +108,48 @@ fn variants(smoke: bool) -> Vec<(String, SystemSpec)> {
 
 /// The fault scenarios, placed mid-run so the steady state is visible on
 /// both sides of the outage.
-fn scenarios(smoke: bool, duration_s: u64) -> Vec<FaultScenario> {
+fn scenarios(smoke: bool, duration_s: u64) -> Vec<Scenario> {
     let mid = secs(duration_s * 2 / 5);
-    let crash = FaultScenario::new(
+    let crash = Scenario::new(
         "search crash 2s",
         vec![(
             mid,
-            Fault::ProcessCrash {
+            Trigger::Fault(Fault::ProcessCrash {
                 process: "proc_search".into(),
                 restart_delay_ns: secs(2),
-            },
+            }),
         )],
-        mid,
-        mid + secs(2),
+        (mid, mid + secs(2)),
     );
     if smoke {
         return vec![crash];
     }
     vec![
         crash,
-        FaultScenario::new(
+        Scenario::new(
             "frontend/profile partition 2s",
             vec![(
                 mid,
-                Fault::Partition {
+                Trigger::Fault(Fault::Partition {
                     a: "proc_frontend".into(),
                     b: "proc_profile".into(),
                     duration_ns: secs(2),
-                },
+                }),
             )],
-            mid,
-            mid + secs(2),
+            (mid, mid + secs(2)),
         ),
-        FaultScenario::new(
+        Scenario::new(
             "rate_db brownout ×8 2s",
             vec![(
                 mid,
-                Fault::Brownout {
+                Trigger::Fault(Fault::Brownout {
                     backend: "rate_db".into(),
                     duration_ns: secs(2),
                     slow_factor: 8.0,
                     unavailable: false,
-                },
+                }),
             )],
-            mid,
-            mid + secs(2),
+            (mid, mid + secs(2)),
         ),
     ]
 }
@@ -182,9 +174,9 @@ fn row(c: &CellReport) -> Vec<String> {
 }
 
 fn main() {
-    let mode = Mode::from_args();
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let duration_s = if smoke { 8 } else { mode.secs(20) };
+    let args = Args::parse("results/fault_matrix.txt");
+    let smoke = args.smoke;
+    let duration_s = if smoke { 8 } else { args.mode.secs(20) };
     let cfg = ResilienceConfig {
         rps: 1_500.0,
         duration_s,
@@ -195,12 +187,12 @@ fn main() {
     };
     let variants = variants(smoke);
     let scenarios = scenarios(smoke, duration_s);
+    let mix = hr::paper_mix();
     let cells = run_matrix(
         &variants,
         &scenarios,
-        &hr::paper_mix(),
-        &cfg,
         Threads::from_env(),
+        |name, system, s| run_cell(system, &mix, name, s, &cfg),
     )
     .expect("fault matrix runs");
 
@@ -248,7 +240,5 @@ fn main() {
         &cells.iter().map(row).collect::<Vec<_>>(),
     );
     print!("{out}");
-    std::fs::create_dir_all("results").expect("results dir");
-    let mut f = std::fs::File::create("results/fault_matrix.txt").expect("results file");
-    f.write_all(out.as_bytes()).expect("write matrix");
+    report::save(&args.out, &out);
 }

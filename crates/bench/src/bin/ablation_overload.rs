@@ -19,29 +19,22 @@
 //! flagged *metastable* (degraded state sustained after the trigger
 //! cleared) and at least one protected arm must recover.
 //!
-//! Output goes to stdout and `results/overload_matrix.txt`. `--smoke` runs
-//! a miniature Type 1 with two arms (the CI determinism compare).
-
-use std::io::Write as _;
+//! Output goes to stdout and `results/overload_matrix.txt` (or `--out
+//! <path>`). `--smoke` runs a miniature Type 1 with two arms (the CI
+//! determinism compare).
 
 use blueprint_bench::figures::fig6::{meta_cases, smoke_case, MetaCase};
-use blueprint_bench::report;
-use blueprint_core::Blueprint;
+use blueprint_bench::{figures, report, Args};
 use blueprint_simrt::SystemSpec;
 use blueprint_wiring::{mutate, Arg, WiringSpec};
 use blueprint_workload::parallel::Threads;
-use blueprint_workload::resilience::{run_matrix, CellReport};
+use blueprint_workload::resilience::{run_cell, run_matrix, CellReport};
 
 /// Budget ratio used on the retry-budget arms (the bound asserted below).
 const BUDGET_RATIO: f64 = 0.2;
 
 fn compile(case: &MetaCase, wiring: &WiringSpec) -> SystemSpec {
-    Blueprint::new()
-        .without_artifacts()
-        .compile(&case.workflow, wiring)
-        .expect("overload variant compiles")
-        .system()
-        .clone()
+    figures::compile(&case.workflow, wiring).system().clone()
 }
 
 /// The mitigation arms, each a wiring mutation away from the unmitigated
@@ -126,7 +119,8 @@ fn row(case: &MetaCase, c: &CellReport) -> Vec<String> {
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
+    let args = Args::parse("results/overload_matrix.txt");
+    let smoke = args.smoke;
     let cases = if smoke {
         vec![smoke_case()]
     } else {
@@ -140,9 +134,8 @@ fn main() {
         let cells = run_matrix(
             &variants,
             &scenarios,
-            &case.mix,
-            &case.cfg,
             Threads::from_env(),
+            |name, system, s| run_cell(system, &case.mix, name, s, &case.cfg),
         )
         .expect("overload matrix runs");
 
@@ -217,7 +210,5 @@ fn main() {
         &rows,
     );
     print!("{out}");
-    std::fs::create_dir_all("results").expect("results dir");
-    let mut f = std::fs::File::create("results/overload_matrix.txt").expect("results file");
-    f.write_all(out.as_bytes()).expect("write matrix");
+    report::save(&args.out, &out);
 }

@@ -1,5 +1,5 @@
 //! Runtime-reconfiguration ablation: the `ReconfigPlan` matrix
-//! (`results/reconfig_matrix.txt`).
+//! (`results/reconfig_matrix.txt`, or `--out <path>`).
 //!
 //! A frontend fans out over a three-replica `api` tier (one process per
 //! replica, one 2-core host each) and the matrix crosses two client arms —
@@ -29,9 +29,7 @@
 //! byte-identical across `BLUEPRINT_THREADS` settings (ci.sh compares
 //! `=1` vs `=4` in `--smoke` mode).
 
-use std::io::Write as _;
-
-use blueprint_bench::report;
+use blueprint_bench::{report, Args};
 use blueprint_simrt::time::{ms, secs, SimTime};
 use blueprint_simrt::{
     AutoscalerSpec, Change, ClientSpec, DepBinding, EntrySpec, HostSpec, LbPolicy, ProcessSpec,
@@ -41,7 +39,7 @@ use blueprint_workflow::Behavior;
 use blueprint_workload::generator::{ApiMix, Phase};
 use blueprint_workload::parallel::Threads;
 use blueprint_workload::resilience::{
-    run_reconfig_matrix, CellReport, ReconfigScenario, ResilienceConfig,
+    run_cell, run_matrix, CellReport, ResilienceConfig, Scenario,
 };
 
 /// Per-replica work, ns (1 ms on a 2-core host ⇒ ~2 000 rps per replica).
@@ -158,14 +156,13 @@ impl Timeline {
     }
 }
 
-fn rolling(t: &Timeline, drainless: bool) -> ReconfigScenario {
+fn rolling(t: &Timeline, drainless: bool) -> Scenario {
     let name = if drainless {
         "rolling drainless"
     } else {
         "rolling drained"
     };
-    ReconfigScenario::new(
-        name,
+    Scenario::new(name, Vec::new(), (t.roll_at, t.roll_at + secs(2))).with_plan(
         ReconfigPlan::none().at(
             t.roll_at,
             Change::RollingRestart {
@@ -175,8 +172,6 @@ fn rolling(t: &Timeline, drainless: bool) -> ReconfigScenario {
                 drainless,
             },
         ),
-        t.roll_at,
-        t.roll_at + secs(2),
     )
 }
 
@@ -188,20 +183,15 @@ fn scale_to_one() -> Change {
     }
 }
 
-fn fixed_replica(t: &Timeline) -> ReconfigScenario {
+fn fixed_replica(t: &Timeline) -> Scenario {
     // The scale-in itself is invisible (steady load fits one replica); the
     // judged window is the flash crowd the lone replica then faces.
-    ReconfigScenario::new(
-        "fixed 1 replica",
-        ReconfigPlan::none().at(ms(100), scale_to_one()),
-        t.flash_start,
-        t.flash_end,
-    )
+    Scenario::new("fixed 1 replica", Vec::new(), (t.flash_start, t.flash_end))
+        .with_plan(ReconfigPlan::none().at(ms(100), scale_to_one()))
 }
 
-fn autoscaled(t: &Timeline) -> ReconfigScenario {
-    ReconfigScenario::new(
-        "autoscaled",
+fn autoscaled(t: &Timeline) -> Scenario {
+    Scenario::new("autoscaled", Vec::new(), (t.flash_start, t.flash_end)).with_plan(
         ReconfigPlan::none()
             .at(ms(100), scale_to_one())
             .with_autoscaler(AutoscalerSpec {
@@ -217,8 +207,6 @@ fn autoscaled(t: &Timeline) -> ReconfigScenario {
                 end_ns: t.end,
                 drain_ns: ms(200),
             }),
-        t.flash_start,
-        t.flash_end,
     )
 }
 
@@ -247,8 +235,8 @@ fn row(c: &CellReport) -> Vec<String> {
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let t = Timeline::new(smoke);
+    let args = Args::parse("results/reconfig_matrix.txt");
+    let t = Timeline::new(args.smoke);
     let cfg = ResilienceConfig {
         duration_s: 2 * t.steady_s + t.flash_s,
         entities: 10_000,
@@ -263,18 +251,18 @@ fn main() {
     };
     let variants = arms();
     let scenarios = vec![
-        ReconfigScenario::baseline(),
+        Scenario::baseline(),
         rolling(&t, false),
         rolling(&t, true),
         fixed_replica(&t),
         autoscaled(&t),
     ];
-    let cells = run_reconfig_matrix(
+    let mix = ApiMix::single("front", "M");
+    let cells = run_matrix(
         &variants,
         &scenarios,
-        &ApiMix::single("front", "M"),
-        &cfg,
         Threads::from_env(),
+        |name, system, s| run_cell(system, &mix, name, s, &cfg),
     )
     .expect("reconfig matrix runs");
 
@@ -428,7 +416,5 @@ fn main() {
         cell("none", "autoscaled").autoscale_downs,
     ));
     print!("{out}");
-    std::fs::create_dir_all("results").expect("results dir");
-    let mut f = std::fs::File::create("results/reconfig_matrix.txt").expect("results file");
-    f.write_all(out.as_bytes()).expect("write report");
+    report::save(&args.out, &out);
 }

@@ -33,16 +33,15 @@
 //! harness pins that collapse with a dedicated known-limit check so the
 //! boundary of the model's validity is itself regression-tested.
 //!
-//! Output goes to stdout and `results/capacity_validation.txt`; the file is
-//! timestamp-free and byte-identical across `BLUEPRINT_THREADS` settings
-//! (the CI smoke compares `=1` vs `=4`). `--quick` shortens the runs;
-//! `--smoke` shortens them further for CI.
+//! Output goes to stdout and `results/capacity_validation.txt` (or `--out
+//! <path>`); the file is timestamp-free and byte-identical across
+//! `BLUEPRINT_THREADS` settings (the CI smoke compares `=1` vs `=4`).
+//! `--quick` shortens the runs; `--smoke` shortens them further for CI.
 
 use std::fmt::Write as _;
-use std::io::Write as _;
 
 use blueprint_apps::{hotel_reservation, sock_shop, train_ticket, WiringOpts};
-use blueprint_bench::{report, Mode};
+use blueprint_bench::{report, Args};
 use blueprint_core::Blueprint;
 use blueprint_lint::model::{Mode as ModelMode, Model};
 use blueprint_lint::{context::LintContext, Diagnostic, LintConfig, Linter, Severity};
@@ -315,9 +314,9 @@ fn run_arm(
 }
 
 fn main() {
-    let mode = Mode::from_args();
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let duration_s = if smoke { 4 } else { mode.secs(12) };
+    let args = Args::parse("results/capacity_validation.txt");
+    let smoke = args.smoke;
+    let duration_s = if smoke { 4 } else { args.mode.secs(12) };
 
     // CPU-reduced cluster, tracing off — same convention as fig6/fig7.
     let opts = WiringOpts {
@@ -555,7 +554,5 @@ fn main() {
          operating rate and raises the measured knee."
     );
     print!("{out}");
-    std::fs::create_dir_all("results").expect("results dir");
-    let mut f = std::fs::File::create("results/capacity_validation.txt").expect("results file");
-    f.write_all(out.as_bytes()).expect("write report");
+    report::save(&args.out, &out);
 }

@@ -20,12 +20,12 @@
 //! bound semantics, canonical fix) and exits.
 
 use std::fmt::Write as _;
-use std::io::Write as _;
 use std::process::ExitCode;
 
 use blueprint_apps::{
     hotel_reservation, media, social_network, sock_shop, train_ticket, WiringOpts,
 };
+use blueprint_bench::report;
 use blueprint_core::Blueprint;
 use blueprint_lint::{deny_count, render_json, render_text, Diagnostic, LintConfig, Linter};
 use blueprint_wiring::WiringSpec;
@@ -214,9 +214,7 @@ fn main() -> ExitCode {
         }
     }
 
-    std::fs::create_dir_all("results").expect("results dir");
-    let mut f = std::fs::File::create("results/ci_lint.txt").expect("results file");
-    f.write_all(summary.as_bytes()).expect("write summary");
+    report::save("results/ci_lint.txt", &summary);
 
     if failed {
         eprintln!("lint gate FAILED: deny-severity diagnostics on a default wiring");

@@ -50,23 +50,24 @@
 //!   asserted by `ablation_consistency` (see
 //!   `results/consistency_matrix.txt`).
 //!
-//! Output goes to stdout and `results/lint_validation.txt`; the file is
-//! timestamp-free and byte-identical across `BLUEPRINT_THREADS` settings
-//! (the CI smoke compares `=1` vs `=4`). `--quick` shortens the runs;
-//! `--smoke` shortens them further for CI.
+//! Output goes to stdout and `results/lint_validation.txt` (or `--out
+//! <path>`); the file is timestamp-free and byte-identical across
+//! `BLUEPRINT_THREADS` settings (the CI smoke compares `=1` vs `=4`).
+//! `--quick` shortens the runs; `--smoke` shortens them further for CI.
 
 use std::fmt::Write as _;
-use std::io::Write as _;
 
 use blueprint_apps::{hotel_reservation as hr, social_network as sn, WiringOpts};
-use blueprint_bench::{report, Mode};
+use blueprint_bench::{report, Args};
 use blueprint_core::Blueprint;
 use blueprint_lint::{Diagnostic, LintConfig, Linter};
 use blueprint_simrt::time::secs;
 use blueprint_simrt::{Fault, SystemSpec};
 use blueprint_wiring::{mutate, Arg, WiringSpec};
 use blueprint_workload::parallel::Threads;
-use blueprint_workload::resilience::{run_matrix, CellReport, FaultScenario, ResilienceConfig};
+use blueprint_workload::resilience::{
+    run_cell, run_matrix, CellReport, ResilienceConfig, Scenario, Trigger,
+};
 
 /// One experiment arm: the static findings plus the deployable system.
 struct Arm {
@@ -260,39 +261,37 @@ fn consistency_findings(wiring: &WiringSpec, kill_store: bool) -> Vec<Diagnostic
     Linter::new(cfg).run_with_workflow(app.ir(), wiring, Some(&wf))
 }
 
-fn crash_scenario(duration_s: u64) -> FaultScenario {
+fn crash_scenario(duration_s: u64) -> Scenario {
     let mid = secs(duration_s * 2 / 5);
-    FaultScenario::new(
+    Scenario::new(
         "search crash 2s",
         vec![(
             mid,
-            Fault::ProcessCrash {
+            Trigger::Fault(Fault::ProcessCrash {
                 process: "proc_search".into(),
                 restart_delay_ns: secs(2),
-            },
+            }),
         )],
-        mid,
-        mid + secs(2),
+        (mid, mid + secs(2)),
     )
 }
 
-fn brownout_scenario(duration_s: u64) -> FaultScenario {
+fn brownout_scenario(duration_s: u64) -> Scenario {
     let mid = secs(duration_s * 2 / 5);
     // ×1200 pushes rate_db's sub-millisecond ops past the 250 ms leaf
     // deadline — the regime the timeout tiering is supposed to survive.
-    FaultScenario::new(
+    Scenario::new(
         "rate_db brownout ×1200 2s",
         vec![(
             mid,
-            Fault::Brownout {
+            Trigger::Fault(Fault::Brownout {
                 backend: "rate_db".into(),
                 duration_ns: secs(2),
                 slow_factor: 1200.0,
                 unavailable: false,
-            },
+            }),
         )],
-        mid,
-        mid + secs(2),
+        (mid, mid + secs(2)),
     )
 }
 
@@ -334,9 +333,8 @@ fn static_lines(out: &mut String, rule: &str, name: &str, found: &[&Diagnostic])
 }
 
 fn main() {
-    let mode = Mode::from_args();
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let duration_s = if smoke { 8 } else { mode.secs(20) };
+    let args = Args::parse("results/lint_validation.txt");
+    let duration_s = if args.smoke { 8 } else { args.mode.secs(20) };
     let cfg = ResilienceConfig {
         rps: 1_500.0,
         duration_s,
@@ -523,15 +521,16 @@ fn main() {
     );
 
     // ---- Dynamic side: the fault matrix over the same arms. -------------
+    let mix = hr::paper_mix();
+    let run = |name: &str, system: &SystemSpec, s: &Scenario| run_cell(system, &mix, name, s, &cfg);
     let bp001_cells = run_matrix(
         &[
             (storm.name.to_string(), storm.system.clone()),
             (storm_fixed.name.to_string(), storm_fixed.system.clone()),
         ],
         &[crash_scenario(duration_s)],
-        &hr::paper_mix(),
-        &cfg,
         Threads::from_env(),
+        run,
     )
     .expect("BP001 matrix runs");
     let bp002_cells = run_matrix(
@@ -540,9 +539,8 @@ fn main() {
             (graded.name.to_string(), graded.system.clone()),
         ],
         &[brownout_scenario(duration_s)],
-        &hr::paper_mix(),
-        &cfg,
         Threads::from_env(),
+        run,
     )
     .expect("BP002 matrix runs");
 
@@ -731,7 +729,5 @@ fn main() {
          reads and crash-lost writes vanish on the guarded arms)",
     );
     print!("{out}");
-    std::fs::create_dir_all("results").expect("results dir");
-    let mut f = std::fs::File::create("results/lint_validation.txt").expect("results file");
-    f.write_all(out.as_bytes()).expect("write report");
+    report::save(&args.out, &out);
 }

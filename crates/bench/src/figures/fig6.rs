@@ -26,7 +26,7 @@ use blueprint_wiring::WiringSpec;
 use blueprint_workflow::WorkflowSpec;
 use blueprint_workload::generator::{ApiMix, OpenLoopGen, Phase};
 use blueprint_workload::recorder::IntervalStats;
-use blueprint_workload::resilience::{FaultScenario, ResilienceConfig, Trigger};
+use blueprint_workload::resilience::{ResilienceConfig, Scenario, Trigger};
 use blueprint_workload::{run_experiment, Action, ExperimentSpec};
 
 use crate::{report, Mode};
@@ -278,7 +278,7 @@ pub struct MetaCase {
     /// Per-case workload + invariant configuration (phases, prefill, RTO).
     pub cfg: ResilienceConfig,
     /// The trigger schedule and its active window.
-    pub scenario: FaultScenario,
+    pub scenario: Scenario,
 }
 
 /// Timeline key-space used by the Type 4 matrix case — smaller than the
@@ -309,7 +309,7 @@ pub fn meta_cases() -> Vec<MetaCase> {
             rto_ns: secs(5),
             ..ResilienceConfig::default()
         },
-        scenario: FaultScenario::triggered("spike 13k rps 10s", vec![], secs(20), secs(30)),
+        scenario: Scenario::new("spike 13k rps 10s", vec![], (secs(20), secs(30))),
     });
 
     // Type 2: CPU contention on the GOGC=75 ReservationService machine.
@@ -330,7 +330,7 @@ pub fn meta_cases() -> Vec<MetaCase> {
             rto_ns: secs(5),
             ..ResilienceConfig::default()
         },
-        scenario: FaultScenario::triggered(
+        scenario: Scenario::new(
             "cpu hog reservation 10s",
             vec![(
                 secs(20),
@@ -340,8 +340,7 @@ pub fn meta_cases() -> Vec<MetaCase> {
                     duration_ns: secs(10),
                 },
             )],
-            secs(20),
-            secs(30),
+            (secs(20), secs(30)),
         ),
     });
 
@@ -363,7 +362,7 @@ pub fn meta_cases() -> Vec<MetaCase> {
             rto_ns: secs(5),
             ..ResilienceConfig::default()
         },
-        scenario: FaultScenario::triggered(
+        scenario: Scenario::new(
             "cpu hog frontend 10s",
             vec![(
                 secs(20),
@@ -373,8 +372,7 @@ pub fn meta_cases() -> Vec<MetaCase> {
                     duration_ns: secs(10),
                 },
             )],
-            secs(20),
-            secs(30),
+            (secs(20), secs(30)),
         ),
     });
 
@@ -402,7 +400,7 @@ pub fn meta_cases() -> Vec<MetaCase> {
             prefill_caches: vec![("ut_cache".to_string(), MATRIX_TIMELINES)],
             ..ResilienceConfig::default()
         },
-        scenario: FaultScenario::triggered(
+        scenario: Scenario::new(
             "flush ut_cache",
             vec![(
                 secs(20),
@@ -410,8 +408,7 @@ pub fn meta_cases() -> Vec<MetaCase> {
                     backend: "ut_cache".into(),
                 },
             )],
-            secs(20),
-            secs(22),
+            (secs(20), secs(22)),
         ),
     });
 
@@ -431,7 +428,7 @@ pub fn smoke_case() -> MetaCase {
     // Long enough for a worst-case retry chain (11 × 500 ms + backoffs).
     c.cfg.drain_ns = secs(8);
     c.cfg.rto_ns = secs(3);
-    c.scenario = FaultScenario::triggered("spike 13k rps 3s", vec![], secs(5), secs(8));
+    c.scenario = Scenario::new("spike 13k rps 3s", vec![], (secs(5), secs(8)));
     c
 }
 

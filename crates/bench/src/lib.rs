@@ -65,9 +65,71 @@ impl Mode {
     }
 }
 
+/// Command-line options of the exhibit binaries that write one report:
+/// `--quick`, `--smoke`, and `--out <path>`. Other arguments are ignored.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Args {
+    /// `--quick`: reduced durations.
+    pub mode: Mode,
+    /// `--smoke`: the reduced CI matrix.
+    pub smoke: bool,
+    /// `--out <path>`: where the report is written.
+    pub out: String,
+}
+
+impl Args {
+    /// Parses the process args; the report goes to `default_out` unless
+    /// `--out` names another path. Exits with status 2 on a bad command
+    /// line.
+    pub fn parse(default_out: &str) -> Args {
+        Args::from_iter(std::env::args().skip(1), default_out).unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(2)
+        })
+    }
+
+    fn from_iter(
+        args: impl IntoIterator<Item = String>,
+        default_out: &str,
+    ) -> Result<Args, String> {
+        let mut parsed = Args {
+            mode: Mode::Full,
+            smoke: false,
+            out: default_out.to_string(),
+        };
+        let mut args = args.into_iter();
+        while let Some(a) = args.next() {
+            match a.as_str() {
+                "--quick" => parsed.mode = Mode::Quick,
+                "--smoke" => parsed.smoke = true,
+                "--out" => parsed.out = args.next().ok_or("--out needs a path")?,
+                _ => {}
+            }
+        }
+        Ok(parsed)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn args_parse_flags_and_out_path() {
+        let args = |v: &[&str]| Args::from_iter(v.iter().map(|a| a.to_string()), "results/r.txt");
+        assert_eq!(
+            args(&[]).unwrap(),
+            Args {
+                mode: Mode::Full,
+                smoke: false,
+                out: "results/r.txt".into()
+            }
+        );
+        let a = args(&["--quick", "--out", "out/x.txt", "--smoke"]).unwrap();
+        assert!(a.mode.quick() && a.smoke);
+        assert_eq!(a.out, "out/x.txt");
+        assert!(args(&["--smoke", "--out"]).is_err());
+    }
 
     #[test]
     fn mode_scaling() {

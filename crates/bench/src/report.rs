@@ -61,6 +61,14 @@ pub fn f3(v: f64) -> String {
     format!("{v:.3}")
 }
 
+/// Writes a report to `path`, creating its parent directory.
+pub fn save(path: &str, text: &str) {
+    if let Some(dir) = std::path::Path::new(path).parent() {
+        std::fs::create_dir_all(dir).expect("report directory");
+    }
+    std::fs::write(path, text).expect("write report");
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,22 +1,26 @@
-//! Resilience verification: fault × mitigation matrices with invariant
-//! checks (the robustness half of the fault-injection engine).
+//! Resilience verification: variants × disturbance-scenario matrices with
+//! invariant checks (the robustness half of the fault-injection engine).
 //!
-//! A [`FaultScenario`] names a set of scheduled faults plus the window in
-//! which they act; [`run_cell`] drives one system variant through one
-//! scenario and verifies three invariants on the recorded series:
+//! A [`Scenario`] names what disturbs a run and when: scheduled
+//! [`Trigger`]s (faults, CPU contention, cache flushes) and/or a
+//! [`ReconfigPlan`] (rolling deploys, scaling, canaries), plus the window
+//! in which the disturbance acts. [`run_cell`] drives one system variant
+//! through one scenario and verifies three invariants on the recorded
+//! series:
 //!
 //! * **request conservation** — every submitted request terminates exactly
 //!   once (the simulator fails affected work *fast* with a classified
 //!   error, so nothing can hang or be double-counted);
 //! * **bounded unavailability** — intervals whose error rate exceeds the
-//!   configured threshold must all fall inside
-//!   `[fault_start, fault_end + rto]`;
+//!   configured threshold must all fall inside `[start, end + rto]`;
 //! * **retry amplification** — retries per submitted request, the hazard
 //!   metric a circuit breaker is supposed to suppress.
 //!
-//! [`run_matrix`] fans a variants × scenarios grid over the deterministic
-//! parallel engine: each cell is an independent seeded run, so the matrix is
-//! byte-identical at any `BLUEPRINT_THREADS`.
+//! [`run_consistency_cell`] drives the same scenario through the
+//! consistency oracle instead. [`run_matrix`] fans a variants × scenarios
+//! grid of either cell over the deterministic parallel engine: each cell is
+//! an independent seeded run, so the matrix is byte-identical at any
+//! `BLUEPRINT_THREADS`.
 
 use blueprint_simrt::time::SimTime;
 use blueprint_simrt::{Fault, ReconfigPlan, Sim, SimConfig, SimError, SystemSpec};
@@ -51,7 +55,8 @@ pub enum Trigger {
 }
 
 impl Trigger {
-    fn to_action(&self) -> Action {
+    /// The driver action that executes this trigger.
+    pub fn to_action(&self) -> Action {
         match self {
             Trigger::Fault(f) => Action::Fault(f.clone()),
             Trigger::CpuHog {
@@ -70,74 +75,48 @@ impl Trigger {
     }
 }
 
-/// A named fault scenario: `(time, fault)` pairs plus the window in which
-/// the faults are considered active (used by the bounded-unavailability
-/// check). Scenarios can also schedule non-fault [`Trigger`]s — CPU
-/// contention and cache flushes — which is how the Fig. 6 metastability
-/// exhibits run through the same verified matrix.
+/// A named disturbance scenario: what disturbs the run, and when.
+///
+/// Triggers go through the experiment driver's action schedule; the plan
+/// rides in [`SimConfig`], so rolling steps, autoscaler ticks, and canary
+/// evaluations execute in the simulator's ctrl-event slot. Both are fully
+/// deterministic: same seed + same scenario ⇒ identical report.
 #[derive(Debug, Clone)]
-pub struct FaultScenario {
+pub struct Scenario {
     /// Scenario label (appears in matrix rows).
     pub name: String,
-    /// Faults injected at the given virtual times.
-    pub faults: Vec<(SimTime, Fault)>,
-    /// Non-fault disturbances injected at the given virtual times.
-    pub triggers: Vec<(SimTime, Trigger)>,
-    /// When the first fault takes effect.
-    pub fault_start_ns: SimTime,
-    /// When the last fault's effect ends (restart completed, partition
-    /// healed, brownout window over).
-    pub fault_end_ns: SimTime,
+    /// Disturbances injected at the given virtual times.
+    pub schedule: Vec<(SimTime, Trigger)>,
+    /// The runtime-change plan under test.
+    pub plan: ReconfigPlan,
+    /// `(start, end)`: when the disturbance starts acting and when its
+    /// effect ends (restart completed, partition healed, final replica
+    /// healthy, canary decided). Unavailability outside
+    /// `[start, end + rto]` fails the `bounded` invariant; an empty window
+    /// means any unavailability at all is unbounded.
+    pub window: (SimTime, SimTime),
 }
 
-impl FaultScenario {
-    /// A scenario with scheduled faults and an explicit active window.
-    pub fn new(
-        name: &str,
-        faults: Vec<(SimTime, Fault)>,
-        fault_start_ns: SimTime,
-        fault_end_ns: SimTime,
-    ) -> Self {
-        FaultScenario {
+impl Scenario {
+    /// A scenario with scheduled triggers, no plan, and an explicit window.
+    pub fn new(name: &str, schedule: Vec<(SimTime, Trigger)>, window: (SimTime, SimTime)) -> Self {
+        Scenario {
             name: name.to_string(),
-            faults,
-            triggers: Vec::new(),
-            fault_start_ns,
-            fault_end_ns,
+            schedule,
+            plan: ReconfigPlan::none(),
+            window,
         }
     }
 
-    /// A scenario built from non-fault triggers (metastability exhibits).
-    pub fn triggered(
-        name: &str,
-        triggers: Vec<(SimTime, Trigger)>,
-        fault_start_ns: SimTime,
-        fault_end_ns: SimTime,
-    ) -> Self {
-        FaultScenario {
-            name: name.to_string(),
-            faults: Vec::new(),
-            triggers,
-            fault_start_ns,
-            fault_end_ns,
-        }
-    }
-
-    /// Adds a scheduled trigger.
-    pub fn with_trigger(mut self, at_ns: SimTime, trigger: Trigger) -> Self {
-        self.triggers.push((at_ns, trigger));
-        self
-    }
-
-    /// The fault-free baseline: any unavailability at all is unbounded.
+    /// The disturbance-free baseline, labelled `none`.
     pub fn baseline() -> Self {
-        FaultScenario {
-            name: "none".to_string(),
-            faults: Vec::new(),
-            triggers: Vec::new(),
-            fault_start_ns: 0,
-            fault_end_ns: 0,
-        }
+        Scenario::new("none", Vec::new(), (0, 0))
+    }
+
+    /// Replaces the runtime-change plan.
+    pub fn with_plan(mut self, plan: ReconfigPlan) -> Self {
+        self.plan = plan;
+        self
     }
 }
 
@@ -157,7 +136,7 @@ pub struct ResilienceConfig {
     /// Drain after the last arrival so in-flight requests terminate.
     pub drain_ns: SimTime,
     /// Recovery-time objective: unavailability may extend at most this far
-    /// past `fault_end_ns`.
+    /// past the end of the scenario window.
     pub rto_ns: SimTime,
     /// Interval error rate above which the interval counts as unavailable.
     pub error_threshold: f64,
@@ -168,10 +147,6 @@ pub struct ResilienceConfig {
     pub prefill_stores: Vec<(String, u64)>,
     /// Caches pre-filled before arrivals: `(backend, n_keys)` at version 1.
     pub prefill_caches: Vec<(String, u64)>,
-    /// Fraction of busy post-RTO intervals that must be unavailable for the
-    /// run to count as *metastable* (degraded state sustained after the
-    /// trigger cleared) rather than merely slow to recover.
-    pub sustain_fraction: f64,
 }
 
 impl Default for ResilienceConfig {
@@ -188,45 +163,49 @@ impl Default for ResilienceConfig {
             phases: Vec::new(),
             prefill_stores: Vec::new(),
             prefill_caches: Vec::new(),
-            sustain_fraction: 0.5,
         }
     }
 }
 
-/// The availability verdict of one recorded series against one scenario —
-/// the invariant half of a [`CellReport`], extracted so the metastability
-/// check is unit-testable on synthetic series.
+/// Fraction of busy post-RTO intervals that must be unavailable for a run
+/// to count as *metastable* (degraded state sustained after the trigger
+/// cleared) rather than merely slow to recover.
+const SUSTAIN_FRACTION: f64 = 0.5;
+
+/// The availability verdict of one recorded series against one scenario
+/// window — the invariant half of a [`CellReport`], extracted so the
+/// metastability check is unit-testable on synthetic series.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Assessment {
     /// Total width of unavailable intervals (error rate above threshold).
     pub unavailable_ns: SimTime,
     /// End of the last unavailable interval, if any.
     pub recovered_ns: Option<SimTime>,
-    /// Whether all unavailability fell inside the fault window + RTO.
+    /// Whether all unavailability fell inside the window + RTO.
     pub bounded: bool,
     /// Whether the degraded state *sustained* after the trigger cleared:
-    /// at least `sustain_fraction` of the busy intervals past
-    /// `fault_end + rto` stayed unavailable. This is the metastability
-    /// signature — the trigger is gone but the system does not return to
-    /// its steady state.
+    /// at least half of the busy intervals past `end + rto` stayed
+    /// unavailable. This is the metastability signature — the trigger is
+    /// gone but the system does not return to its steady state.
     pub metastable: bool,
-    /// Time from `fault_end_ns` to the end of the last unavailable
+    /// Time from the window's end to the end of the last unavailable
     /// interval: `Some(0)` if the run never degraded, `None` if it never
     /// recovered (metastable).
     pub recovery_ns: Option<SimTime>,
 }
 
-/// Scans a recorded series and classifies the run's availability:
-/// bounded/unbounded, metastable or not, and the measured recovery time.
+/// Scans a recorded series against a `(start, end)` disturbance window and
+/// classifies the run's availability: bounded/unbounded, metastable or
+/// not, and the measured recovery time.
 pub fn assess(
     series: &[IntervalStats],
-    scenario: &FaultScenario,
+    (start_ns, end_ns): (SimTime, SimTime),
     cfg: &ResilienceConfig,
 ) -> Assessment {
     let mut unavailable_ns = 0;
     let mut first_bad_ns: Option<SimTime> = None;
     let mut last_bad_end_ns: Option<SimTime> = None;
-    let post_window_start = scenario.fault_end_ns + cfg.rto_ns;
+    let post_window_start = end_ns + cfg.rto_ns;
     let (mut post_busy, mut post_bad) = (0u64, 0u64);
     for s in series {
         let busy = s.count > 0;
@@ -244,25 +223,23 @@ pub fn assess(
         }
     }
     // Bounded: no unavailability at all, or every unavailable interval sits
-    // inside the fault's active window extended by the RTO. An interval
-    // that *contains* fault_start may dip below the threshold before the
-    // fault fires, so the start check is interval-granular.
+    // inside the disturbance window extended by the RTO. An interval that
+    // *contains* the window start may dip below the threshold before the
+    // disturbance fires, so the start check is interval-granular.
     let bounded = match (first_bad_ns, last_bad_end_ns) {
         (None, None) => true,
         (Some(first), Some(end)) => {
-            scenario.fault_end_ns > scenario.fault_start_ns
-                && first + cfg.interval_ns > scenario.fault_start_ns
-                && end <= post_window_start
+            end_ns > start_ns && first + cfg.interval_ns > start_ns && end <= post_window_start
         }
         _ => unreachable!("first and last unavailable interval set together"),
     };
-    let metastable = post_bad > 0 && (post_bad as f64) >= cfg.sustain_fraction * (post_busy as f64);
+    let metastable = post_bad > 0 && (post_bad as f64) >= SUSTAIN_FRACTION * (post_busy as f64);
     let recovery_ns = if metastable {
         None
     } else {
         Some(
             last_bad_end_ns
-                .map(|end| end.saturating_sub(scenario.fault_end_ns))
+                .map(|end| end.saturating_sub(end_ns))
                 .unwrap_or(0),
         )
     };
@@ -290,12 +267,12 @@ pub struct CellReport {
     pub unavailable_ns: SimTime,
     /// End of the last unavailable interval, if any.
     pub recovered_ns: Option<SimTime>,
-    /// Whether all unavailability fell inside the fault window + RTO.
+    /// Whether all unavailability fell inside the scenario window + RTO.
     pub bounded: bool,
-    /// Whether the degraded state sustained past the fault window + RTO
-    /// (the metastability signature; see [`Assessment::metastable`]).
+    /// Whether the degraded state sustained past the window + RTO (the
+    /// metastability signature; see [`Assessment::metastable`]).
     pub metastable: bool,
-    /// Measured recovery time past `fault_end_ns` (`Some(0)` = never
+    /// Measured recovery time past the window's end (`Some(0)` = never
     /// degraded, `None` = never recovered).
     pub recovery_ns: Option<SimTime>,
     /// Total client-side retries issued during the run.
@@ -329,142 +306,21 @@ pub struct CellReport {
     pub autoscale_downs: u64,
 }
 
-/// Runs one variant through one scenario and verifies the invariants.
-///
-/// The scenario's faults are injected through the experiment driver's
-/// [`Action::Fault`] schedule, so the run is an ordinary deterministic
-/// experiment: same seed + same scenario ⇒ identical report.
-pub fn run_cell(
+/// The set-up both cell kinds share: a seeded simulator carrying the
+/// scenario's plan, pre-filled stores and caches, and the open-loop
+/// experiment with the scenario's triggers scheduled. Also returns the
+/// exact number of requests the experiment will submit.
+fn start(
     system: &SystemSpec,
     mix: &ApiMix,
-    variant: &str,
-    scenario: &FaultScenario,
+    scenario: &Scenario,
     cfg: &ResilienceConfig,
-) -> Result<CellReport, SimError> {
-    let mut actions: Vec<(SimTime, Action)> = Vec::new();
-    for (t, fault) in &scenario.faults {
-        actions.push((*t, Action::Fault(fault.clone())));
-    }
-    for (t, trigger) in &scenario.triggers {
-        actions.push((*t, trigger.to_action()));
-    }
-    measure_cell(
-        system,
-        mix,
-        variant,
-        &scenario.name,
-        (scenario.fault_start_ns, scenario.fault_end_ns),
-        ReconfigPlan::none(),
-        actions,
-        cfg,
-    )
-}
-
-/// A scheduled runtime-change scenario: the reconfiguration analogue of
-/// [`FaultScenario`]. The plan rides in [`SimConfig`] (not the action
-/// schedule), so rolling steps, autoscaler ticks, and canary evaluations
-/// execute in the simulator's ctrl-event slot with full determinism;
-/// `change_start_ns..change_end_ns` is the window (extended by the RTO)
-/// outside of which any unavailability fails the `bounded` invariant.
-#[derive(Debug, Clone)]
-pub struct ReconfigScenario {
-    /// Scenario label (appears in matrix rows).
-    pub name: String,
-    /// The runtime-change plan under test.
-    pub plan: ReconfigPlan,
-    /// When the first change starts acting.
-    pub change_start_ns: SimTime,
-    /// When the last change's effect ends (final replica healthy, scaling
-    /// settled, canary decided).
-    pub change_end_ns: SimTime,
-}
-
-impl ReconfigScenario {
-    /// A scenario with an explicit active window.
-    pub fn new(
-        name: &str,
-        plan: ReconfigPlan,
-        change_start_ns: SimTime,
-        change_end_ns: SimTime,
-    ) -> Self {
-        ReconfigScenario {
-            name: name.to_string(),
-            plan,
-            change_start_ns,
-            change_end_ns,
-        }
-    }
-
-    /// The change-free baseline: any unavailability at all is unbounded.
-    pub fn baseline() -> Self {
-        ReconfigScenario {
-            name: "none".to_string(),
-            plan: ReconfigPlan::none(),
-            change_start_ns: 0,
-            change_end_ns: 0,
-        }
-    }
-}
-
-/// Runs one variant through one runtime-change scenario, verifying the
-/// same invariants as [`run_cell`]: conservation through every drain,
-/// unavailability bounded by the change window + RTO, no metastable
-/// trigger from the deploy itself, and the amplification metrics.
-pub fn run_reconfig_cell(
-    system: &SystemSpec,
-    mix: &ApiMix,
-    variant: &str,
-    scenario: &ReconfigScenario,
-    cfg: &ResilienceConfig,
-) -> Result<CellReport, SimError> {
-    measure_cell(
-        system,
-        mix,
-        variant,
-        &scenario.name,
-        (scenario.change_start_ns, scenario.change_end_ns),
-        scenario.plan.clone(),
-        Vec::new(),
-        cfg,
-    )
-}
-
-/// Runs the variants × reconfig-scenarios matrix on the parallel engine
-/// (same cell indexing as [`run_matrix`]).
-pub fn run_reconfig_matrix(
-    variants: &[(String, SystemSpec)],
-    scenarios: &[ReconfigScenario],
-    mix: &ApiMix,
-    cfg: &ResilienceConfig,
-    threads: Threads,
-) -> Result<Vec<CellReport>, SimError> {
-    let n = variants.len() * scenarios.len();
-    par_run(n, threads, |i| {
-        let (vi, si) = (i / scenarios.len(), i % scenarios.len());
-        let (name, system) = &variants[vi];
-        run_reconfig_cell(system, mix, name, &scenarios[si], cfg)
-    })
-}
-
-/// Shared measurement body: seeded sim (fault-free or carrying a reconfig
-/// plan), open-loop workload, scheduled actions, then invariant checks
-/// against the `(start, end)` disturbance window.
-#[allow(clippy::too_many_arguments)]
-fn measure_cell(
-    system: &SystemSpec,
-    mix: &ApiMix,
-    variant: &str,
-    scenario_name: &str,
-    window: (SimTime, SimTime),
-    reconfig: ReconfigPlan,
-    actions: Vec<(SimTime, Action)>,
-    cfg: &ResilienceConfig,
-) -> Result<CellReport, SimError> {
+) -> Result<(Sim, ExperimentSpec, u64), SimError> {
     let mut sim = Sim::new(
         system,
         SimConfig {
             seed: cfg.seed,
-            reconfig,
+            reconfig: scenario.plan.clone(),
             ..Default::default()
         },
     )?;
@@ -486,23 +342,35 @@ fn measure_cell(
     let mut exp = ExperimentSpec::new(gen)
         .interval(cfg.interval_ns)
         .drain(cfg.drain_ns);
-    for (t, action) in actions {
-        exp = exp.at(t, action);
+    for (t, trigger) in &scenario.schedule {
+        exp = exp.at(*t, trigger.to_action());
     }
+    Ok((sim, exp, submitted))
+}
+
+/// Runs one variant through one scenario and verifies the invariants:
+/// conservation through every fault and drain, unavailability bounded by
+/// the scenario window + RTO, metastability, and the amplification
+/// metrics.
+pub fn run_cell(
+    system: &SystemSpec,
+    mix: &ApiMix,
+    variant: &str,
+    scenario: &Scenario,
+    cfg: &ResilienceConfig,
+) -> Result<CellReport, SimError> {
+    let (mut sim, exp, submitted) = start(system, mix, scenario, cfg)?;
     let rec = run_experiment(&mut sim, exp)?;
     let conservation = rec.conservation(submitted);
     let conserved = conservation.holds();
-    // `assess` only reads the disturbance window from the scenario, so a
-    // synthetic window scenario serves both the fault and reconfig paths.
-    let win = FaultScenario::new(scenario_name, Vec::new(), window.0, window.1);
-    let verdict = assess(&rec.series(), &win, cfg);
+    let verdict = assess(&rec.series(), scenario.window, cfg);
 
     let c = &sim.metrics.counters;
     let (retries, breaker_rejections, client_calls) =
         (c.retries, c.breaker_rejections, c.client_calls);
     Ok(CellReport {
         variant: variant.to_string(),
-        scenario: scenario_name.to_string(),
+        scenario: scenario.name.clone(),
         conservation,
         conserved,
         unavailable_ns: verdict.unavailable_ns,
@@ -536,67 +404,24 @@ fn measure_cell(
     })
 }
 
-/// Runs the full variants × scenarios matrix on the parallel engine.
+/// Runs the variants × scenarios matrix on the parallel engine, calling
+/// `cell(variant name, system, scenario)` once per cell — typically a
+/// closure over [`run_cell`] or [`run_consistency_cell`].
 ///
 /// Cell `(v, s)` has job index `v * scenarios.len() + s`; each job builds
 /// its own simulator from the shared spec, so the report vector is
 /// byte-identical to the sequential double loop at any thread count.
-pub fn run_matrix(
+pub fn run_matrix<R: Send>(
     variants: &[(String, SystemSpec)],
-    scenarios: &[FaultScenario],
-    mix: &ApiMix,
-    cfg: &ResilienceConfig,
+    scenarios: &[Scenario],
     threads: Threads,
-) -> Result<Vec<CellReport>, SimError> {
+    cell: impl Fn(&str, &SystemSpec, &Scenario) -> Result<R, SimError> + Sync,
+) -> Result<Vec<R>, SimError> {
     let n = variants.len() * scenarios.len();
     par_run(n, threads, |i| {
-        let (vi, si) = (i / scenarios.len(), i % scenarios.len());
-        let (name, system) = &variants[vi];
-        run_cell(system, mix, name, &scenarios[si], cfg)
+        let (name, system) = &variants[i / scenarios.len()];
+        cell(name, system, &scenarios[i % scenarios.len()])
     })
-}
-
-/// A consistency scenario: the disturbance an arm of the consistency
-/// matrix runs under — scheduled faults (crashes, partitions) and/or a
-/// reconfiguration plan (rolling restarts), both of which can make a
-/// replicated store lose or hide acknowledged writes.
-#[derive(Debug, Clone)]
-pub struct ConsistencyScenario {
-    /// Scenario label (appears in matrix rows).
-    pub name: String,
-    /// Faults injected at the given virtual times.
-    pub faults: Vec<(SimTime, Fault)>,
-    /// Runtime-change plan riding in [`SimConfig`].
-    pub plan: ReconfigPlan,
-}
-
-impl ConsistencyScenario {
-    /// The disturbance-free baseline.
-    pub fn baseline() -> Self {
-        ConsistencyScenario {
-            name: "none".to_string(),
-            faults: Vec::new(),
-            plan: ReconfigPlan::none(),
-        }
-    }
-
-    /// A scenario built from scheduled faults.
-    pub fn faults(name: &str, faults: Vec<(SimTime, Fault)>) -> Self {
-        ConsistencyScenario {
-            name: name.to_string(),
-            faults,
-            plan: ReconfigPlan::none(),
-        }
-    }
-
-    /// A scenario built from a reconfiguration plan.
-    pub fn reconfig(name: &str, plan: ReconfigPlan) -> Self {
-        ConsistencyScenario {
-            name: name.to_string(),
-            faults: Vec::new(),
-            plan,
-        }
-    }
 }
 
 /// How a consistency cell probes the system: which methods the oracle
@@ -643,45 +468,19 @@ pub struct ConsistencyCellReport {
     pub session_redirects: u64,
 }
 
-/// Runs one variant through one consistency scenario: seeded traffic with
-/// the scenario's faults and plan, a settle period, one audit read per
-/// entity, then oracle classification of the whole log against the
-/// converged versions the audit observed.
+/// Runs one variant through one scenario for consistency: seeded traffic
+/// with the scenario's triggers and plan, a settle period, one audit read
+/// per entity, then oracle classification of the whole log against the
+/// converged versions the audit observed. The scenario window is unused.
 pub fn run_consistency_cell(
     system: &SystemSpec,
     mix: &ApiMix,
     probe: &ConsistencyProbe,
     variant: &str,
-    scenario: &ConsistencyScenario,
+    scenario: &Scenario,
     cfg: &ResilienceConfig,
 ) -> Result<ConsistencyCellReport, SimError> {
-    let mut sim = Sim::new(
-        system,
-        SimConfig {
-            seed: cfg.seed,
-            reconfig: scenario.plan.clone(),
-            ..Default::default()
-        },
-    )?;
-    for (backend, n) in &cfg.prefill_stores {
-        sim.store_fill(backend, *n, 1)?;
-    }
-    for (backend, n) in &cfg.prefill_caches {
-        sim.cache_fill(backend, *n, 1)?;
-    }
-    let phases = if cfg.phases.is_empty() {
-        vec![Phase::new(cfg.duration_s, cfg.rps)]
-    } else {
-        cfg.phases.clone()
-    };
-    let gen = OpenLoopGen::new(phases, mix.clone(), cfg.entities, cfg.seed);
-    let submitted = gen.clone().count() as u64;
-    let mut exp = ExperimentSpec::new(gen)
-        .interval(cfg.interval_ns)
-        .drain(cfg.drain_ns);
-    for (t, fault) in &scenario.faults {
-        exp = exp.at(*t, Action::Fault(fault.clone()));
-    }
+    let (mut sim, exp, submitted) = start(system, mix, scenario, cfg)?;
     let (mut rec, mut completions) = run_experiment_collecting(&mut sim, exp)?;
 
     // Quiet period: let every surviving replica apply its in-flight
@@ -724,31 +523,13 @@ pub fn run_consistency_cell(
     })
 }
 
-/// Runs the variants × consistency-scenarios matrix on the parallel engine
-/// (same cell indexing as [`run_matrix`]), so the matrix is byte-identical
-/// at any `BLUEPRINT_THREADS`.
-pub fn run_consistency_matrix(
-    variants: &[(String, SystemSpec)],
-    scenarios: &[ConsistencyScenario],
-    mix: &ApiMix,
-    probe: &ConsistencyProbe,
-    cfg: &ResilienceConfig,
-    threads: Threads,
-) -> Result<Vec<ConsistencyCellReport>, SimError> {
-    let n = variants.len() * scenarios.len();
-    par_run(n, threads, |i| {
-        let (vi, si) = (i / scenarios.len(), i % scenarios.len());
-        let (name, system) = &variants[vi];
-        run_consistency_cell(system, mix, probe, name, &scenarios[si], cfg)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use blueprint_simrt::time::{ms, secs};
     use blueprint_simrt::{
         Change, ClientSpec, DepBinding, EntrySpec, HostSpec, LbPolicy, ProcessSpec, ServiceSpec,
+        TransportSpec,
     };
     use blueprint_workflow::Behavior;
 
@@ -756,7 +537,7 @@ mod tests {
     const fn assert_send<T: Send>() {}
     const _: () = {
         assert_send::<CellReport>();
-        assert_send::<FaultScenario>();
+        assert_send::<Scenario>();
     };
 
     fn two_tier(client: ClientSpec) -> SystemSpec {
@@ -808,18 +589,17 @@ mod tests {
         spec
     }
 
-    fn crash_scenario() -> FaultScenario {
-        FaultScenario::new(
+    fn crash_scenario() -> Scenario {
+        Scenario::new(
             "backend crash",
             vec![(
                 secs(4),
-                Fault::ProcessCrash {
+                Trigger::Fault(Fault::ProcessCrash {
                     process: "p_back".into(),
                     restart_delay_ns: secs(2),
-                },
+                }),
             )],
-            secs(4),
-            secs(6),
+            (secs(4), secs(6)),
         )
     }
 
@@ -833,6 +613,19 @@ mod tests {
         }
     }
 
+    /// Runs a matrix inline and on four workers, asserts the two report
+    /// vectors are equal, and returns them.
+    fn seq_equals_par<R: Send + PartialEq + std::fmt::Debug>(
+        variants: &[(String, SystemSpec)],
+        scenarios: &[Scenario],
+        cell: impl Fn(&str, &SystemSpec, &Scenario) -> Result<R, SimError> + Sync,
+    ) -> Vec<R> {
+        let seq = run_matrix(variants, scenarios, Threads::sequential(), &cell).unwrap();
+        let par = run_matrix(variants, scenarios, Threads::new(4), &cell).unwrap();
+        assert_eq!(seq, par);
+        seq
+    }
+
     #[test]
     fn baseline_cell_is_clean_and_conserved() {
         let spec = two_tier(ClientSpec::local());
@@ -840,7 +633,7 @@ mod tests {
             &spec,
             &ApiMix::single("front", "M"),
             "none",
-            &FaultScenario::baseline(),
+            &Scenario::baseline(),
             &cfg(),
         )
         .unwrap();
@@ -926,7 +719,6 @@ mod tests {
             rto_ns: secs(2),
             ..ResilienceConfig::default()
         };
-        let scenario = FaultScenario::new("s", vec![], secs(4), secs(6));
         let series: Vec<IntervalStats> = (0..30)
             .map(|t| {
                 if t >= 4 {
@@ -936,7 +728,7 @@ mod tests {
                 }
             })
             .collect();
-        let a = assess(&series, &scenario, &c);
+        let a = assess(&series, (secs(4), secs(6)), &c);
         assert!(a.metastable, "{a:?}");
         assert!(!a.bounded);
         assert_eq!(a.recovery_ns, None);
@@ -953,7 +745,6 @@ mod tests {
             rto_ns: secs(2),
             ..ResilienceConfig::default()
         };
-        let scenario = FaultScenario::new("s", vec![], secs(4), secs(6));
         let series: Vec<IntervalStats> = (0..30)
             .map(|t| {
                 if (4..10).contains(&t) {
@@ -963,14 +754,14 @@ mod tests {
                 }
             })
             .collect();
-        let a = assess(&series, &scenario, &c);
+        let a = assess(&series, (secs(4), secs(6)), &c);
         assert!(!a.metastable, "{a:?}");
         assert!(!a.bounded, "last bad interval ends at 10 s > 6 s + 2 s rto");
         assert_eq!(a.recovery_ns, Some(secs(4)));
 
         // A clean series never degrades: bounded, recovery 0.
         let clean: Vec<IntervalStats> = (0..30).map(|t| interval(secs(t), 100, 0)).collect();
-        let a = assess(&clean, &scenario, &c);
+        let a = assess(&clean, (secs(4), secs(6)), &c);
         assert!(a.bounded);
         assert!(!a.metastable);
         assert_eq!(a.recovery_ns, Some(0));
@@ -983,7 +774,7 @@ mod tests {
     #[test]
     fn trigger_scenario_runs_through_cell() {
         let spec = two_tier(ClientSpec::local());
-        let scenario = FaultScenario::triggered(
+        let scenario = Scenario::new(
             "cpu hog",
             vec![(
                 secs(4),
@@ -993,8 +784,7 @@ mod tests {
                     duration_ns: secs(2),
                 },
             )],
-            secs(4),
-            secs(6),
+            (secs(4), secs(6)),
         );
         let r = run_cell(
             &spec,
@@ -1017,12 +807,12 @@ mod tests {
                 two_tier(c)
             }),
         ];
-        let scenarios = vec![FaultScenario::baseline(), crash_scenario()];
+        let scenarios = vec![Scenario::baseline(), crash_scenario()];
         let mix = ApiMix::single("front", "M");
-        let seq = run_matrix(&variants, &scenarios, &mix, &cfg(), Threads::sequential()).unwrap();
-        let par = run_matrix(&variants, &scenarios, &mix, &cfg(), Threads::new(4)).unwrap();
+        let seq = seq_equals_par(&variants, &scenarios, |name, system, s| {
+            run_cell(system, &mix, name, s, &cfg())
+        });
         assert_eq!(seq.len(), 4);
-        assert_eq!(seq, par);
         assert!(seq.iter().all(|c| c.conserved));
     }
 
@@ -1083,8 +873,10 @@ mod tests {
         spec
     }
 
-    fn rolling_plan(drainless: bool) -> ReconfigPlan {
-        ReconfigPlan::none().at(
+    /// Rolls `back` one replica at a time from 2 s. Two replicas × (drain
+    /// 200 ms + restart 100 ms) ≈ 600 ms of deploy inside a 2–3 s window.
+    fn rolling(name: &str, drainless: bool) -> Scenario {
+        Scenario::new(name, Vec::new(), (secs(2), secs(3))).with_plan(ReconfigPlan::none().at(
             secs(2),
             Change::RollingRestart {
                 service: "back".into(),
@@ -1092,7 +884,7 @@ mod tests {
                 restart_ns: ms(100),
                 drainless,
             },
-        )
+        ))
     }
 
     #[test]
@@ -1100,9 +892,8 @@ mod tests {
         let mut client = ClientSpec::local();
         client.retries = 2;
         let spec = replicated_two_tier(client);
-        // Two replicas × (drain 200ms + restart 100ms) ≈ 600ms of deploy.
-        let scenario = ReconfigScenario::new("rolling", rolling_plan(false), secs(2), secs(3));
-        let r = run_reconfig_cell(
+        let scenario = rolling("rolling", false);
+        let r = run_cell(
             &spec,
             &ApiMix::single("front", "M"),
             "drained",
@@ -1122,6 +913,43 @@ mod tests {
         );
     }
 
+    /// One scenario carrying both a fault and a plan: a drained roll of
+    /// `back` from 2 s, then a crash of one replica's process at 4 s. The
+    /// 20 ms network leg keeps requests in flight when a replica starts
+    /// draining, so the roll shows up as drain rejections; the crash shows
+    /// up as failover retries to the live sibling.
+    #[test]
+    fn fault_and_plan_in_one_scenario_run_through_one_cell() {
+        let mut client = ClientSpec::over(TransportSpec::Grpc {
+            serialize_ns: 0,
+            net_ns: ms(20),
+        });
+        client.retries = 2;
+        let spec = replicated_two_tier(client);
+        let mix = ApiMix::single("front", "M");
+        let crash = Trigger::Fault(Fault::ProcessCrash {
+            process: "p_back_r1".into(),
+            restart_delay_ns: secs(1),
+        });
+        let mut both = rolling("rolling + crash", false);
+        both.schedule.push((secs(4), crash));
+        both.window = (secs(2), secs(5));
+        let plan_only = run_cell(&spec, &mix, "retry", &rolling("rolling", false), &cfg()).unwrap();
+        let r = run_cell(&spec, &mix, "retry", &both, &cfg()).unwrap();
+        assert!(r.conserved, "{}", r.conservation);
+        assert!(r.bounded, "{r:?}");
+        assert!(
+            r.drain_rejections > 0,
+            "draining replicas must reject in-flight arrivals: {r:?}"
+        );
+        assert!(
+            r.retries > plan_only.retries,
+            "the crash must add failover retries to the roll's: {} vs {}",
+            r.retries,
+            plan_only.retries
+        );
+    }
+
     #[test]
     fn reconfig_matrix_is_deterministic_across_thread_counts() {
         let mut retry = ClientSpec::local();
@@ -1131,17 +959,15 @@ mod tests {
             ("retry".to_string(), replicated_two_tier(retry)),
         ];
         let scenarios = vec![
-            ReconfigScenario::baseline(),
-            ReconfigScenario::new("rolling", rolling_plan(false), secs(2), secs(3)),
-            ReconfigScenario::new("drainless", rolling_plan(true), secs(2), secs(3)),
+            Scenario::baseline(),
+            rolling("rolling", false),
+            rolling("drainless", true),
         ];
         let mix = ApiMix::single("front", "M");
-        let seq = run_reconfig_matrix(&variants, &scenarios, &mix, &cfg(), Threads::sequential())
-            .unwrap();
-        let par =
-            run_reconfig_matrix(&variants, &scenarios, &mix, &cfg(), Threads::new(4)).unwrap();
+        let seq = seq_equals_par(&variants, &scenarios, |name, system, s| {
+            run_cell(system, &mix, name, s, &cfg())
+        });
         assert_eq!(seq.len(), 6);
-        assert_eq!(seq, par);
         assert!(seq.iter().all(|c| c.conserved), "every cell conserved");
         // Unprotected variant: the drainless arm kills in-flight work and
         // fast-fails arrivals on the dead replica; draining eliminates both.
@@ -1266,16 +1092,17 @@ mod tests {
 
     /// Crash the primary shortly before traffic ends, so writes acked in
     /// the last replication-lag window are lost and not rewritten.
-    fn late_crash() -> ConsistencyScenario {
-        ConsistencyScenario::faults(
+    fn late_crash() -> Scenario {
+        Scenario::new(
             "primary crash",
             vec![(
                 secs(7) + ms(800),
-                Fault::ProcessCrash {
+                Trigger::Fault(Fault::ProcessCrash {
                     process: "p_db".into(),
                     restart_delay_ns: secs(3),
-                },
+                }),
             )],
+            (0, 0),
         )
     }
 
@@ -1362,31 +1189,16 @@ mod tests {
                 failover_store(ConsistencyMode::Session),
             ),
         ];
-        let scenarios = vec![ConsistencyScenario::baseline(), late_crash()];
+        let scenarios = vec![Scenario::baseline(), late_crash()];
         let cfg = ResilienceConfig {
             duration_s: 4,
             ..cons_cfg()
         };
-        let seq = run_consistency_matrix(
-            &variants,
-            &scenarios,
-            &cons_mix(),
-            &probe(),
-            &cfg,
-            Threads::sequential(),
-        )
-        .unwrap();
-        let par = run_consistency_matrix(
-            &variants,
-            &scenarios,
-            &cons_mix(),
-            &probe(),
-            &cfg,
-            Threads::new(4),
-        )
-        .unwrap();
+        let (mix, probe) = (cons_mix(), probe());
+        let seq = seq_equals_par(&variants, &scenarios, |name, system, s| {
+            run_consistency_cell(system, &mix, &probe, name, s, &cfg)
+        });
         assert_eq!(seq.len(), 4);
-        assert_eq!(seq, par);
         assert!(seq.iter().all(|c| c.conserved), "every cell conserved");
     }
 }
