@@ -1,5 +1,6 @@
 #!/usr/bin/env sh
-# Repo CI gate: build, test, lint, format, and a quick simulator bench smoke.
+# Repo CI gate: build, test, lint, format, the exhibit smokes, and the
+# completion-stream checksum pin.
 # Run from the repo root. Fails fast on the first broken step.
 set -eu
 
@@ -14,30 +15,6 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo fmt --all --check"
 cargo fmt --all --check
-
-echo "==> bench smoke (sim_engine, quick test mode)"
-# Criterion's --test mode runs each bench once to confirm it executes,
-# without the full sampling run.
-cargo bench -p blueprint-bench --bench sim_engine -- --test
-
-echo "==> bench smoke (event_queue: heap vs timing wheel)"
-# Full numbers live in results/event_queue_bench.txt; this just proves the
-# wheel and its BinaryHeap baseline still run under the hold-model workload.
-cargo bench -p blueprint-bench --bench event_queue -- --test
-
-echo "==> parallel-engine determinism (BLUEPRINT_THREADS=1 vs =4)"
-# The same experiment suite must produce identical results whatever the
-# default worker count is; the test itself also pins the 1-vs-4 equality.
-BLUEPRINT_THREADS=1 cargo test --release --test parallel_determinism -q
-BLUEPRINT_THREADS=4 cargo test --release --test parallel_determinism -q
-
-echo "==> parallel-engine wall-clock smoke (fig7 grid, 1 vs 4 threads)"
-# --test mode times the quick grid at 1 and 4 worker threads only; the full
-# 1/2/4/8 sweep is recorded in results/par_speedup.txt. Timings land in
-# results/ci_par_sweep.txt for comparison across runs.
-mkdir -p results
-cargo bench -p blueprint-bench --bench par_sweep -- --test \
-    | tee results/ci_par_sweep.txt
 
 echo "==> lint gate (every app's default wiring must be deny-clean)"
 # Runs the static-analysis passes over the five benchmark apps and writes

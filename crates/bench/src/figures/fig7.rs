@@ -29,18 +29,14 @@ pub struct Cell {
     pub final_error_rate: f64,
 }
 
-/// Runs the vulnerability grid with the environment-configured thread count.
-pub fn run(mode: Mode) -> Vec<Cell> {
-    run_with(mode, Threads::from_env())
-}
-
-/// Runs the vulnerability grid on an explicit number of worker threads.
+/// Runs the vulnerability grid on the environment-configured thread count.
 ///
 /// Every cell is an independent seeded run, so the grid is one flat
 /// `par_run` batch: each worker builds its own `Sim` from the per-retry
 /// compiled system. Cell order (and every byte of every cell) is identical
 /// to the historical sequential retries → rates → durations loop.
-pub fn run_with(mode: Mode, threads: Threads) -> Vec<Cell> {
+pub fn run(mode: Mode) -> Vec<Cell> {
+    let threads = Threads::from_env();
     let (rates, durations, retries): (Vec<f64>, Vec<u64>, Vec<u32>) = if mode.quick() {
         (vec![1_000.0, 4_000.0], vec![2, 10], vec![2, 10])
     } else {
@@ -167,11 +163,11 @@ mod tests {
     use super::*;
 
     /// Grid cells are produced on worker threads and collected by index;
-    /// they must be plain `Send + Sync` data. (Byte-identity of the full
-    /// grid at 1 vs 4 threads is asserted in release profile by the
-    /// `par_sweep` bench, which CI runs in `--test` mode, and by
-    /// `tests/parallel_determinism.rs` — a dev-profile duplicate here would
-    /// cost ~10 minutes of `cargo test` for no extra coverage.)
+    /// they must be plain `Send + Sync` data. (1-vs-4-thread identity of
+    /// the `trigger_recovery`-through-`par_run` path this grid uses is
+    /// asserted by `tests/parallel_determinism.rs` on a smaller grid; the
+    /// full grid here would cost ~10 minutes of `cargo test` for no extra
+    /// coverage.)
     const fn assert_send_sync<T: Send + Sync>() {}
     const _: () = assert_send_sync::<Cell>();
 }

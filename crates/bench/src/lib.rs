@@ -66,7 +66,7 @@ impl Mode {
 }
 
 /// Command-line options of the exhibit binaries that write one report:
-/// `--quick`, `--smoke`, and `--out <path>`. Other arguments are ignored.
+/// `--quick`, `--smoke`, and `--out <path>`. Any other argument is an error.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Args {
     /// `--quick`: reduced durations.
@@ -103,7 +103,7 @@ impl Args {
                 "--quick" => parsed.mode = Mode::Quick,
                 "--smoke" => parsed.smoke = true,
                 "--out" => parsed.out = args.next().ok_or("--out needs a path")?,
-                _ => {}
+                _ => return Err(format!("unknown argument: {a}")),
             }
         }
         Ok(parsed)
@@ -129,6 +129,7 @@ mod tests {
         assert!(a.mode.quick() && a.smoke);
         assert_eq!(a.out, "out/x.txt");
         assert!(args(&["--smoke", "--out"]).is_err());
+        assert!(args(&["--quick", "-smoke"]).is_err());
     }
 
     #[test]

@@ -7,9 +7,9 @@
 //! in O(1), cascading toward a small near-term heap (`due`) that provides
 //! the final total order. Ties resolve by `seq`, never by insertion order or
 //! bucket layout, so the pop order equals a `BinaryHeap<Reverse<Entry>>`'s
-//! exactly — the unit tests below keep the heap as the oracle.
-//! `benches/event_queue.rs` compares the two at 10k/100k/1M concurrent
-//! timers (see `results/event_queue_bench.txt`).
+//! exactly — the unit tests below keep the heap as the oracle, on a random
+//! interleaving and on the hold model. Why the wheel and not the heap is in
+//! `DESIGN.md` §6 "Event loop".
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -291,43 +291,67 @@ mod tests {
         assert_eq!(drain(&mut wheel), want);
     }
 
+    /// Drives the wheel and the heap in lockstep over two input shapes,
+    /// checking `peek_key`, `len` and the pop order at every step:
+    /// - a random push/pop interleaving of near, far and tied times;
+    /// - the hold model (Vaucher & Duval): prefill 10k timers uniformly over
+    ///   a 10 s window (inside the 68.7 s horizon), then pop the minimum and
+    ///   re-arm it at a random offset, so the population stays constant
+    ///   while the clock sweeps forward, as mid-run in the simulator.
     #[test]
     fn wheel_matches_heap_on_random_interleaving() {
-        let mut rng = SmallRng::seed_from_u64(99);
-        let mut heap = Heap::new();
-        let mut wheel = Wheel::new();
-        let mut seq = 0u64;
-        let mut now: SimTime = 0;
-        let mut heap_out = Vec::new();
-        let mut wheel_out = Vec::new();
-        for _ in 0..20_000 {
-            if rng.gen::<f64>() < 0.55 || heap.is_empty() {
-                // Mix of near, far, and same-tick times (plus ties).
-                let dt = match rng.gen_range(0..4u32) {
-                    0 => rng.gen_range(0..2_000),
-                    1 => rng.gen_range(0..1_000_000),
-                    2 => rng.gen_range(0..5_000_000_000),
-                    _ => 0,
+        const PREFILL: usize = 10_000;
+        const WINDOW_NS: SimTime = 10_000_000_000;
+        for (hold, steps) in [(false, 20_000), (true, PREFILL + 20_000)] {
+            let mut rng = SmallRng::seed_from_u64(99);
+            let mut heap = Heap::new();
+            let mut wheel = Wheel::new();
+            let mut seq = 0u64;
+            let mut now: SimTime = 0;
+            let mut heap_out = Vec::new();
+            let mut wheel_out = Vec::new();
+            for step in 0..steps {
+                let pop = if hold {
+                    step >= PREFILL
+                } else {
+                    rng.gen::<f64>() >= 0.55 && !heap.is_empty()
                 };
-                let t = now + dt;
-                heap.push(Reverse(e(t, seq)));
-                wheel.push(e(t, seq));
-                seq += 1;
-            } else {
-                let Reverse(a) = heap.pop().expect("heap non-empty");
-                assert_eq!(wheel.peek_key(), Some(a.key()), "peek agrees with pop");
-                let b = wheel.pop().expect("wheel matches heap occupancy");
-                now = a.time; // Pops advance the clock, like the simulator.
-                heap_out.push(a.key());
-                wheel_out.push(b.key());
+                if pop {
+                    let Reverse(a) = heap.pop().expect("heap non-empty");
+                    assert_eq!(wheel.peek_key(), Some(a.key()), "peek agrees with pop");
+                    let b = wheel.pop().expect("wheel matches heap occupancy");
+                    now = a.time; // Pops advance the clock, like the simulator.
+                    heap_out.push(a.key());
+                    wheel_out.push(b.key());
+                }
+                // The hold model pushes on every step (prefill, then re-arm
+                // of the popped timer); the interleaving when it did not pop.
+                let dt = if hold {
+                    Some(rng.gen_range(1..WINDOW_NS))
+                } else if pop {
+                    None
+                } else {
+                    // Mix of near, far, and same-tick times (plus ties).
+                    Some(match rng.gen_range(0..4u32) {
+                        0 => rng.gen_range(0..2_000),
+                        1 => rng.gen_range(0..1_000_000),
+                        2 => rng.gen_range(0..5_000_000_000),
+                        _ => 0,
+                    })
+                };
+                if let Some(dt) = dt {
+                    heap.push(Reverse(e(now + dt, seq)));
+                    wheel.push(e(now + dt, seq));
+                    seq += 1;
+                }
+                assert_eq!(wheel.len(), heap.len());
             }
-            assert_eq!(wheel.len(), heap.len());
+            heap_out.extend(drain_heap(&mut heap));
+            wheel_out.extend(drain(&mut wheel));
+            assert_eq!(heap_out, wheel_out);
+            assert!(!heap_out.is_empty());
+            assert!(wheel.is_empty());
         }
-        heap_out.extend(drain_heap(&mut heap));
-        wheel_out.extend(drain(&mut wheel));
-        assert_eq!(heap_out, wheel_out);
-        assert!(!heap_out.is_empty());
-        assert!(wheel.is_empty());
     }
 
     #[test]
