@@ -49,7 +49,7 @@ pub mod sim;
 pub mod spec;
 pub mod time;
 
-pub use sim::{Completion, EntryHandle, Sim, SimConfig};
+pub use sim::{Completion, EngineProfile, EntryHandle, Sim, SimConfig};
 pub use spec::{
     AutoscalerSpec, BackendRtKind, BackendSpec, BreakerSpec, Change, ChaosSpec, ClientSpec,
     ConsistencyMode, DeadlineSpec, DepBinding, EntrySpec, ExpBackoff, FailoverSpec, Fault,

@@ -805,8 +805,9 @@ enum Ev {
         frame: FrameId,
         seq: u32,
     },
+    /// A request arrives at its target; `msg` indexes [`Sim::msgs`].
     DeliverRequest {
-        req: RequestMsg,
+        msg: u32,
     },
     DeliverResponse {
         frame: FrameId,
@@ -874,6 +875,100 @@ enum Ev {
     CanaryEval {
         canary: usize,
     },
+}
+
+/// Names of the event kinds, in [`EngineProfile::dispatched`] order.
+pub const EV_KINDS: [&str; 18] = [
+    "HostCheck",
+    "Resume",
+    "Timeout",
+    "RetryFire",
+    "DeliverRequest",
+    "DeliverResponse",
+    "HogEnd",
+    "ConnFreed",
+    "ReplicaApply",
+    "StoreFailover",
+    "FaultFire",
+    "ProcRestart",
+    "ChaosFire",
+    "ReconfigFire",
+    "DrainDone",
+    "RollAdvance",
+    "AutoscaleTick",
+    "CanaryEval",
+];
+
+impl Ev {
+    /// Index of this event's kind in [`EV_KINDS`].
+    fn kind(&self) -> usize {
+        match self {
+            Ev::HostCheck { .. } => 0,
+            Ev::Resume { .. } => 1,
+            Ev::Timeout { .. } => 2,
+            Ev::RetryFire { .. } => 3,
+            Ev::DeliverRequest { .. } => 4,
+            Ev::DeliverResponse { .. } => 5,
+            Ev::HogEnd { .. } => 6,
+            Ev::ConnFreed { .. } => 7,
+            Ev::ReplicaApply { .. } => 8,
+            Ev::StoreFailover { .. } => 9,
+            Ev::FaultFire { .. } => 10,
+            Ev::ProcRestart { .. } => 11,
+            Ev::ChaosFire => 12,
+            Ev::ReconfigFire { .. } => 13,
+            Ev::DrainDone { .. } => 14,
+            Ev::RollAdvance { .. } => 15,
+            Ev::AutoscaleTick { .. } => 16,
+            Ev::CanaryEval { .. } => 17,
+        }
+    }
+}
+
+/// The event loop's self-profile: deterministic counters that are always
+/// on (a few integer adds per event) and feed nothing back into the run or
+/// its reports. Read it through [`Sim::engine_profile`].
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct EngineProfile {
+    /// Events dispatched per kind, indexed like [`EV_KINDS`].
+    pub dispatched: [u64; EV_KINDS.len()],
+    /// Dispatched `HostCheck`s that found their host re-armed since they
+    /// were scheduled, and so did nothing.
+    pub stale_host_checks: u64,
+    /// High-water mark of pending events.
+    pub pending_max: usize,
+}
+
+/// Request messages on the wire, addressed by [`Ev::DeliverRequest`]: an
+/// index instead of the message itself keeps every queued event at 64
+/// bytes. Slots recycle through a free list.
+#[derive(Default)]
+struct MsgSlab {
+    msgs: Vec<RequestMsg>,
+    free: Vec<u32>,
+}
+
+impl MsgSlab {
+    fn put(&mut self, msg: RequestMsg) -> u32 {
+        if let Some(i) = self.free.pop() {
+            self.msgs[i as usize] = msg;
+            i
+        } else {
+            let i = u32::try_from(self.msgs.len()).expect("message slab exceeds u32 slots");
+            self.msgs.push(msg);
+            i
+        }
+    }
+
+    fn get(&self, i: u32) -> &RequestMsg {
+        &self.msgs[i as usize]
+    }
+
+    /// Copies the message out and frees its slot.
+    fn take(&mut self, i: u32) -> RequestMsg {
+        self.free.push(i);
+        self.msgs[i as usize]
+    }
 }
 
 /// A fault with every name resolved to a dense index at boot (or at
@@ -1311,7 +1406,8 @@ struct BackendRt {
     store: StoreRt,
     queue: VecDeque<u64>,
     stats: BackendStats,
-    /// Whether any op has touched `stats` (controls metrics-map visibility).
+    /// Whether `stats` changed since they were last mirrored into
+    /// [`Metrics`] (a backend's entry appears with its first op).
     stats_dirty: bool,
     /// Brownout window end (0 = no brownout ever injected).
     brownout_until: SimTime,
@@ -1407,7 +1503,7 @@ struct Shared {
 /// processes/services/clients/backends that live there, its frame table, and
 /// its event-key push counter.
 struct HostLane {
-    ps: PsHost,
+    ps: PsHost<JobCont>,
     /// Bumped on every scheduler perturbation; guards stale `HostCheck`s.
     host_gen: u64,
     procs: Vec<ProcRt>,
@@ -1423,8 +1519,6 @@ struct HostLane {
     /// Recycled interpreter stacks of completed frames.
     stack_pool: Vec<Vec<ExecCtx>>,
 
-    jobs: HashMap<JobId, JobCont>,
-    next_job: u64,
     /// Push counter for events generated while dispatching this host's
     /// events (the low 48 bits of their `(time, seq)` keys).
     ev_seq: u64,
@@ -1482,14 +1576,14 @@ impl HostLane {
 ///
 /// Frame ids carry their home host, so this never needs to resolve
 /// (possibly dead) frames.
-fn ev_ctx(sh: &Shared, ev: &Ev) -> u64 {
+fn ev_ctx(sh: &Shared, msgs: &MsgSlab, ev: &Ev) -> u64 {
     let host = match ev {
         Ev::HostCheck { host, .. } | Ev::HogEnd { host, .. } => *host as u32,
         Ev::Resume { frame }
         | Ev::Timeout { frame, .. }
         | Ev::RetryFire { frame, .. }
         | Ev::DeliverResponse { frame, .. } => frame.host,
-        Ev::DeliverRequest { req } => match req.target {
+        Ev::DeliverRequest { msg } => match msgs.get(*msg).target {
             CallTarget::Service { svc, .. } => sh.proc_host[sh.svc_proc[svc] as usize],
             CallTarget::Backend { backend, .. } => sh.proc_host[sh.backend_proc[backend] as usize],
         },
@@ -1525,6 +1619,11 @@ pub struct Sim {
     ctrl_seq: u64,
     /// Every pending event, lane and control alike.
     events: Wheel<Ev>,
+    /// Payloads of pending [`Ev::DeliverRequest`]s.
+    msgs: MsgSlab,
+    /// Reused buffer for the continuations a `HostCheck` collects.
+    due: Vec<JobCont>,
+    profile: EngineProfile,
 
     sh: Shared,
     /// Per-host mutable runtime, indexed by host id.
@@ -1628,7 +1727,7 @@ impl Sim {
 
         let host_names: Vec<String> = spec.hosts.iter().map(|h| h.name.clone()).collect();
         let proc_names: Vec<String> = spec.processes.iter().map(|p| p.name.clone()).collect();
-        let hosts: Vec<PsHost> = spec.hosts.iter().map(|h| PsHost::new(h.cores)).collect();
+        let hosts: Vec<PsHost<JobCont>> = spec.hosts.iter().map(|h| PsHost::new(h.cores)).collect();
         let procs: Vec<ProcRt> = spec
             .processes
             .iter()
@@ -1793,8 +1892,6 @@ impl Sim {
                 free_frames: Vec::new(),
                 live: 0,
                 stack_pool: Vec::new(),
-                jobs: HashMap::default(),
-                next_job: 0,
                 ev_seq: 0,
             })
             .collect();
@@ -1855,6 +1952,9 @@ impl Sim {
             ctx: CTRL_CTX,
             ctrl_seq: 0,
             events: Wheel::new(),
+            msgs: MsgSlab::default(),
+            due: Vec::new(),
+            profile: EngineProfile::default(),
             sh,
             lanes,
             host_names,
@@ -2056,6 +2156,11 @@ impl Sim {
         self.events.len()
     }
 
+    /// The event loop's self-profile since boot.
+    pub fn engine_profile(&self) -> &EngineProfile {
+        &self.profile
+    }
+
     /// Whether the event queue is completely drained.
     pub fn is_idle(&self) -> bool {
         self.events.is_empty()
@@ -2188,7 +2293,8 @@ impl Sim {
         while self.events.peek_key().is_some_and(|(time, _)| time <= t) {
             let e = self.events.pop().expect("peeked event exists");
             self.now = e.time;
-            self.ctx = ev_ctx(&self.sh, &e.item);
+            self.ctx = ev_ctx(&self.sh, &self.msgs, &e.item);
+            self.profile.dispatched[e.item.kind()] += 1;
             self.dispatch(e.item);
         }
         self.ctx = CTRL_CTX;
@@ -2198,14 +2304,16 @@ impl Sim {
 
     /// Mirrors dense per-backend stats into the name-keyed metrics map.
     /// Entries appear only for backends that have seen at least one op,
-    /// matching the old on-demand-creation semantics. The map is a
+    /// matching the old on-demand-creation semantics, and only backends
+    /// whose stats changed since the last mirror are copied. The map is a
     /// `BTreeMap` keyed by name, so lane iteration order is invisible.
     fn sync_backend_metrics(&mut self) {
-        for lane in &self.lanes {
-            for b in &lane.backends {
+        for lane in &mut self.lanes {
+            for b in &mut lane.backends {
                 if !b.stats_dirty {
                     continue;
                 }
+                b.stats_dirty = false;
                 let name = self.sh.names.get(b.name);
                 if let Some(slot) = self.metrics.backends.get_mut(name) {
                     slot.clone_from(&b.stats);

@@ -25,6 +25,7 @@ impl Sim {
             seq,
             item: ev,
         });
+        self.profile.pending_max = self.profile.pending_max.max(self.events.len());
     }
 
     // Entity accessors: global id → lane-local slot via the location tables.
@@ -161,28 +162,31 @@ impl Sim {
     fn dispatch(&mut self, ev: Ev) {
         match ev {
             Ev::HostCheck { host, gen } => {
-                let now = self.now;
+                let lane = &mut self.lanes[host];
+                if lane.host_gen != gen {
+                    self.profile.stale_host_checks += 1;
+                    return;
+                }
                 // Collect continuations first, then run them: every removal
-                // precedes any `run_cont` (which may allocate fresh job ids
-                // but can never cancel a due one on this path), so this
-                // matches remove-as-you-go order exactly.
-                let conts: Vec<JobCont> = {
-                    let lane = &mut self.lanes[host];
-                    if lane.host_gen != gen {
-                        return;
-                    }
-                    let done = lane.ps.collect_due(now);
-                    done.iter().filter_map(|j| lane.jobs.remove(j)).collect()
-                };
-                for cont in conts {
+                // precedes any `run_cont` (which may add fresh jobs but can
+                // never cancel a due one on this path), so this matches
+                // remove-as-you-go order exactly. The buffer is taken for
+                // the loop and put back, so its capacity is reused.
+                let mut due = std::mem::take(&mut self.due);
+                lane.ps.collect_due_into(self.now, &mut due);
+                for cont in due.drain(..) {
                     self.run_cont(cont);
                 }
+                self.due = due;
                 self.touch_host(host);
             }
             Ev::Resume { frame } => self.step_frame(frame),
             Ev::Timeout { frame, seq, attempt } => self.on_timeout(frame, seq, attempt),
             Ev::RetryFire { frame, seq } => self.on_retry_fire(frame, seq),
-            Ev::DeliverRequest { req } => self.on_deliver_request(req),
+            Ev::DeliverRequest { msg } => {
+                let req = self.msgs.take(msg);
+                self.on_deliver_request(req)
+            }
             Ev::DeliverResponse { frame, seq, attempt, outcome } => {
                 self.on_deliver_response(frame, seq, attempt, outcome)
             }
@@ -268,10 +272,7 @@ impl Sim {
     fn run_cont(&mut self, cont: JobCont) {
         match cont {
             JobCont::FrameStep(fid) => self.step_frame(fid),
-            JobCont::SendRequest(req, net_ns) => {
-                let t = self.now + net_ns;
-                self.push_ev(t, Ev::DeliverRequest { req });
-            }
+            JobCont::SendRequest(req, net_ns) => self.send_request(self.now + net_ns, req),
             JobCont::SendResponse { frame, seq, attempt, outcome, net_ns } => {
                 let t = self.now + net_ns;
                 self.push_ev(t, Ev::DeliverResponse { frame, seq, attempt, outcome });
@@ -331,22 +332,22 @@ impl Sim {
         }
     }
 
+    /// Puts a request on the wire, to arrive at `t`.
+    fn send_request(&mut self, t: SimTime, req: RequestMsg) {
+        let msg = self.msgs.put(req);
+        self.push_ev(t, Ev::DeliverRequest { msg });
+    }
+
     /// Adds a CPU job on `host` tagged with `proc_tag` (frozen if that
     /// process is mid-GC). Returns the job id so callers can track it.
     fn add_job_on(&mut self, host: usize, proc_tag: usize, work_ns: f64, cont: JobCont) -> JobId {
         let frozen = proc_tag != NO_PROC && self.proc_ref(proc_tag).in_gc;
         let now = self.now;
-        let job = {
-            let lane = &mut self.lanes[host];
-            let id = JobId(lane.next_job);
-            lane.next_job += 1;
-            lane.jobs.insert(id, cont);
-            if frozen {
-                lane.ps.add_frozen(now, id, work_ns, proc_tag);
-            } else {
-                lane.ps.add(now, id, work_ns, proc_tag);
-            }
-            id
+        let ps = &mut self.lanes[host].ps;
+        let job = if frozen {
+            ps.add_frozen(now, work_ns, proc_tag, cont)
+        } else {
+            ps.add(now, work_ns, proc_tag, cont)
         };
         self.touch_host(host);
         job
@@ -911,7 +912,7 @@ impl Sim {
             }
         }
         if work_ns == 0 {
-            self.push_ev(self.now + net_ns, Ev::DeliverRequest { req: msg });
+            self.send_request(self.now + net_ns, msg);
         } else {
             self.add_proc_job(proc, work_ns as f64, JobCont::SendRequest(msg, net_ns));
         }
@@ -2098,9 +2099,7 @@ impl Sim {
         // its base size (or empty without a GC spec).
         if let Some(job) = self.proc_mut(proc).gc_job.take() {
             let now = self.now;
-            let lane = &mut self.lanes[host];
-            lane.ps.cancel(now, job);
-            lane.jobs.remove(&job);
+            self.lanes[host].ps.cancel(now, job);
         }
         {
             let base = self.sh.gc_specs[proc].as_ref().map(|g| g.base_heap_bytes).unwrap_or(0);
@@ -2112,8 +2111,7 @@ impl Sim {
         // Cancel every CPU job of the process; in-flight work that would have
         // produced a response fails fast so callers are never left hanging.
         let victims = self.lanes[host].ps.cancel_proc(self.now, proc);
-        for job in victims {
-            let Some(cont) = self.lanes[host].jobs.remove(&job) else { continue };
+        for cont in victims {
             match cont {
                 // The frame dies in the sweep below; nothing to route.
                 JobCont::FrameStep(_) | JobCont::SendRequest(..) | JobCont::GcEnd { .. } => {}

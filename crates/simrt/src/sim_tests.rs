@@ -742,6 +742,30 @@ fn extended_cache_multi_op_is_single_round_trip() {
     assert_eq!(stats.hits, 1);
 }
 
+/// Backend stats mirror into `metrics` once per `run_until` slice, copying
+/// only backends that changed: later slices still show every new op, and an
+/// idle slice leaves the entry as it was.
+#[test]
+fn backend_metrics_follow_every_slice() {
+    let mut spec = cache_db_spec();
+    spec.services[0].methods.insert(
+        "Range".into(),
+        Behavior::build()
+            .cache_op("c", CacheOp::GetRange { items: 5 }, KeyExpr::Entity)
+            .done(),
+    );
+    let mut sim = Sim::new(&spec, SimConfig::default()).unwrap();
+    sim.run_until(secs(1));
+    assert!(sim.metrics.backend("cache").is_none(), "no op, no entry");
+    for slice in 1..=3u64 {
+        sim.submit("front", "Range", 3).unwrap();
+        sim.run_until(secs(2 * slice));
+        assert_eq!(sim.metrics.backend("cache").unwrap().reads, slice);
+        sim.run_until(secs(2 * slice + 1));
+        assert_eq!(sim.metrics.backend("cache").unwrap().reads, slice);
+    }
+}
+
 #[test]
 fn hog_slows_processing() {
     let spec = single_service(Behavior::build().compute(ms(1), 0).done());
@@ -2573,4 +2597,12 @@ fn quorum_without_reachable_members_rejects() {
         0,
         "write not applied"
     );
+}
+
+/// Every queued event fits one cache line: `Ev::DeliverRequest` carries a
+/// `u32` index into the message slab, not the message.
+#[test]
+fn queued_events_fit_64_bytes() {
+    let size = std::mem::size_of::<evq::Entry<Ev>>();
+    assert!(size <= 64, "evq::Entry<Ev> is {size} bytes");
 }

@@ -6,13 +6,19 @@
 
 use blueprint::apps::{hotel_reservation as hr, WiringOpts};
 use blueprint::core::Blueprint;
-use blueprint::simrt::{Completion, SimConfig};
+use blueprint::simrt::sim::EV_KINDS;
+use blueprint::simrt::{Completion, EngineProfile, SimConfig};
 use blueprint::workload::generator::OpenLoopGen;
 use blueprint::workload::generator::Phase;
 
 /// Runs HotelReservation for `secs` seconds at `rps` with the given seed and
 /// returns the full completion stream in emission order.
 fn completion_stream(seed: u64, secs: u64, rps: f64) -> Vec<Completion> {
+    profiled_stream(seed, secs, rps).0
+}
+
+/// [`completion_stream`], plus the engine's self-profile at the end.
+fn profiled_stream(seed: u64, secs: u64, rps: f64) -> (Vec<Completion>, EngineProfile) {
     let app = Blueprint::new()
         .without_artifacts()
         .compile(&hr::workflow(), &hr::wiring(&WiringOpts::default()))
@@ -40,7 +46,7 @@ fn completion_stream(seed: u64, secs: u64, rps: f64) -> Vec<Completion> {
     // Drain in-flight requests well past the last arrival.
     sim.run_until(end + 5_000_000_000);
     out.append(&mut sim.drain_completions());
-    out
+    (out, sim.engine_profile().clone())
 }
 
 #[test]
@@ -86,4 +92,32 @@ fn different_seeds_diverge() {
     let a = completion_stream(1, 1, 500.0);
     let b = completion_stream(2, 1, 500.0);
     assert_ne!(a, b, "different seeds should produce different streams");
+}
+
+/// The `examples/stream_checksum` run (seed 5, 5 s at 2 krps) dispatches an
+/// exact number of events of each kind. The counts were recorded before the
+/// CPU-job slab and the message slab went in, so they pin that neither added,
+/// dropped nor reordered an event; the checksum pins the outcome.
+#[test]
+fn stream_checksum_engine_profile_is_pinned() {
+    let (stream, profile) = profiled_stream(5, 5, 2_000.0);
+    assert_eq!(stream.len(), 10_162);
+    assert_eq!(checksum(&stream), 0x1bc8_5aa9_969b_ffcf);
+    let counts: Vec<(&str, u64)> = EV_KINDS
+        .into_iter()
+        .zip(profile.dispatched)
+        .filter(|(_, n)| *n > 0)
+        .collect();
+    assert_eq!(
+        counts,
+        [
+            ("HostCheck", 505_351),
+            ("Resume", 10_162),
+            ("DeliverRequest", 159_682),
+            ("DeliverResponse", 159_682),
+        ]
+    );
+    assert_eq!(profile.stale_host_checks, 139_707);
+    assert_eq!(profile.dispatched.iter().sum::<u64>(), 834_877);
+    assert_eq!(profile.pending_max, 38);
 }
